@@ -16,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DegenerateProjection,
@@ -115,6 +114,27 @@ class CoverGraph:
         return EdgeGraph(n=self.n, edges=self.cover_edges(), theta=theta, spacing=self.base.spacing)
 
 
+def _half_integer_circulations(graph: EdgeGraph, tol: float):
+    """Tree potential and fundamental-cycle circulation per edge (0 on tree edges).
+
+    Raises NonHalfIntegerFlux unless every doubled circulation is within
+    tol of an integer.
+    """
+    tree = spanning_tree(graph)
+    eta = tree_potential(graph, tree)
+    a, b = graph.edges[:, 0], graph.edges[:, 1]
+    circ = (eta[a] + graph.theta - eta[b]) / TWO_PI
+    circ[tree[4]] = 0.0
+    doubled = 2.0 * circ
+    off = np.abs(doubled - np.round(doubled))
+    if np.any(off > tol):
+        worst = int(np.argmax(off))
+        raise NonHalfIntegerFlux(
+            f"cycle through edge {worst} has circulation {circ[worst]:.9f}"
+        )
+    return eta, circ
+
+
 def build_cover(base: EdgeGraph, tol: float = 1e-9) -> CoverGraph:
     """Construct the cover determined by the link phases.
 
@@ -123,20 +143,8 @@ def build_cover(base: EdgeGraph, tol: float = 1e-9) -> CoverGraph:
     cycle is genuinely half-integer; all-integer circulations give the
     trivial two-copy cover.
     """
-    tree = spanning_tree(base)
-    eta = tree_potential(base, tree)
-    is_tree = tree[4]
-    a, b = base.edges[:, 0], base.edges[:, 1]
-    circ = (eta[a] + base.theta - eta[b]) / TWO_PI
-    circ[is_tree] = 0.0
-    doubled = 2.0 * circ
-    off = np.abs(doubled - np.round(doubled))
-    if np.any(off > 2 * tol):
-        worst = int(np.argmax(off))
-        raise NonHalfIntegerFlux(
-            f"cycle through edge {worst} has circulation {circ[worst]:.9f}"
-        )
-    cuts = np.abs(np.round(doubled).astype(np.int64)) % 2 == 1
+    _, circ = _half_integer_circulations(base, 2 * tol)
+    cuts = np.abs(np.round(2.0 * circ).astype(np.int64)) % 2 == 1
     return CoverGraph(base=base, cuts=cuts, connected=bool(cuts.any()), circulations=circ)
 
 
@@ -208,30 +216,8 @@ def antisymmetric_block(cover: CoverGraph, V=None) -> HamiltonianMatrix:
     Its spectrum is the magnetic spectrum, as a real symmetric problem.
     """
     base = cover.base
-    n = base.n
-    if V is None:
-        V = np.zeros(n)
-    else:
-        V = np.asarray(V, dtype=float).reshape(-1)
-        V = np.full(n, V[0]) if V.size == 1 else V
-    inv_h2 = 1.0 / base.spacing**2
-    deg = np.zeros(n)
-    np.add.at(deg, base.edges[:, 0], 1.0)
-    np.add.at(deg, base.edges[:, 1], 1.0)
-    a, b = base.edges[:, 0], base.edges[:, 1]
-    hop = np.where(cover.cuts, inv_h2, -inv_h2)
-    rows = np.concatenate([a, b, np.arange(n)])
-    cols = np.concatenate([b, a, np.arange(n)])
-    vals = np.concatenate([hop, hop, deg * inv_h2 + V])
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mat.sum_duplicates()
-    return HamiltonianMatrix(
-        matrix=mat,
-        vertex_of_unknown=np.arange(n),
-        unknown_of_vertex=np.arange(n),
-        bc="cover-antisymmetric",
-        spacing=base.spacing,
-    )
+    graph = EdgeGraph(n=base.n, edges=base.edges, theta=np.pi * cover.cuts, spacing=base.spacing)
+    return assemble(graph, V=V, bc="cover-antisymmetric")
 
 
 def symmetric_block(cover: CoverGraph, V=None) -> HamiltonianMatrix:
@@ -251,19 +237,7 @@ class ConjugationOperator:
     """
 
     def __init__(self, graph: EdgeGraph, tol: float = 1e-8):
-        tree = spanning_tree(graph)
-        eta = tree_potential(graph, tree)
-        is_tree = tree[4]
-        a, b = graph.edges[:, 0], graph.edges[:, 1]
-        circ = (eta[a] + graph.theta - eta[b]) / TWO_PI
-        circ[is_tree] = 0.0
-        doubled = 2.0 * circ
-        off = np.abs(doubled - np.round(doubled))
-        if np.any(off > tol):
-            worst = int(np.argmax(off))
-            raise NonHalfIntegerFlux(
-                f"cycle through edge {worst} has circulation {circ[worst]:.9f}"
-            )
+        eta, _ = _half_integer_circulations(graph, tol)
         self.graph = graph
         self.psi = -2.0 * eta
 

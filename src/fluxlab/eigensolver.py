@@ -1,10 +1,11 @@
 """Lowest eigenpairs of sparse Hermitian matrices.
 
-Block Lanczos on the inverted positive shift (A + c)^-1 with full two-pass
-reorthogonalization and Rayleigh-Ritz extraction against A itself.  The
-inversion spreads the bottom of the spectrum, so clustered and exactly
-degenerate ground pairs converge together; the block size is kept at least
-m + 2 for the same reason.  Everything is deterministic for a fixed seed.
+ARPACK (scipy's `eigsh`) in shift-invert mode about a Gershgorin shift below
+the spectrum, with the shifted matrix factored once by SuperLU.  The
+inversion spreads the bottom of the spectrum, and m + 2 vectors are computed
+so that clustered and exactly degenerate ground pairs are never cut in half.
+A Rayleigh-Ritz step against A itself then extracts orthonormal eigenpairs
+and their residuals.  Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NoConvergence
 
@@ -38,67 +39,28 @@ def gershgorin_bounds(A):
     return float((diag - off).min()), float((diag + off).max())
 
 
-class _Basis:
-    """Preallocated orthonormal basis with its conjugate and A-image."""
+def _rayleigh_ritz(A, V, m) -> EigenResult:
+    """The m lowest Ritz pairs of A on the span of V's columns.
 
-    def __init__(self, n, cap, dtype):
-        self.n, self.cap = n, cap
-        self.Q = np.empty((n, cap), dtype=dtype)
-        self.Qc = np.empty((n, cap), dtype=dtype)
-        self.AQ = np.empty((n, cap), dtype=dtype)
-        self.size = 0
-
-    def append(self, Y, A, rng):
-        """Orthonormalize Y against the basis and itself, then absorb it.
-
-        Returns the number of accepted columns.  Rank-deficient directions
-        are replaced once from the rng; still-deficient ones are dropped
-        (Krylov breakdown near an invariant subspace).
-        """
-        for attempt in range(3):
-            for _ in range(2):
-                if self.size:
-                    Y -= self.Q[:, : self.size] @ (self.Qc[:, : self.size].T @ Y)
-            q, r = np.linalg.qr(Y)
-            good = np.abs(np.diag(r)) > 1e-10
-            if good.all() or attempt == 2:
-                q = q[:, good]
-                break
-            Y = q
-            bad = ~good
-            fresh = rng.standard_normal((self.n, int(bad.sum())))
-            if np.iscomplexobj(Y):
-                fresh = fresh + 1j * rng.standard_normal(fresh.shape)
-            Y[:, bad] = fresh
-        k = min(q.shape[1], self.cap - self.size)
-        if k <= 0:
-            return 0
-        s = self.size
-        self.Q[:, s : s + k] = q[:, :k]
-        self.Qc[:, s : s + k] = q[:, :k].conj()
-        self.AQ[:, s : s + k] = A @ q[:, :k]
-        self.size = s + k
-        return k
-
-    def views(self):
-        s = self.size
-        return self.Q[:, :s], self.Qc[:, :s], self.AQ[:, :s]
+    For complex input `eigsh` runs the non-Hermitian driver, whose vectors
+    within a degenerate cluster are not orthonormal; the QR restores that.
+    """
+    Q, _ = np.linalg.qr(V)
+    AQ = A @ Q
+    T = Q.conj().T @ AQ
+    mu, S = np.linalg.eigh(0.5 * (T + T.conj().T))
+    U = Q @ S[:, :m]
+    res = np.linalg.norm(AQ @ S[:, :m] - U * mu[:m], axis=0)
+    return EigenResult(eigenvalues=mu[:m], eigenvectors=U, residuals=res)
 
 
-def lowest_eigenpairs(
-    H,
-    m: int,
-    tol: float = 1e-10,
-    seed: int = DEFAULT_SEED,
-    block_size: int = None,
-    max_subspace: int = None,
-    max_restarts: int = 12,
-) -> EigenResult:
+def lowest_eigenpairs(H, m: int, tol: float = 1e-10, seed: int = DEFAULT_SEED) -> EigenResult:
     """Compute the m smallest eigenpairs of a sparse Hermitian matrix.
 
-    tol is relative: iteration stops once every requested residual satisfies
+    tol is relative: every returned residual satisfies
     ||A u - lambda u|| <= tol * gershgorin_norm(A).  Raises NoConvergence
-    (with the best result attached) if the restart budget is exhausted.
+    (with the best result attached) when ARPACK stops short or a residual
+    misses that bound.
     """
     A = _as_matrix(H)
     n = A.shape[0]
@@ -109,58 +71,32 @@ def lowest_eigenpairs(
 
     lower, upper = gershgorin_bounds(A)
     norm_a = max(abs(lower), abs(upper), 1e-300)
-    shift = max(0.0, -lower) + 1.0
-    lu = splu((A + shift * sparse.identity(n, dtype=A.dtype, format="csr")).tocsc())
+    k = m + 2
+    if k >= n - 1:
+        # ARPACK needs k < n - 1; a matrix this small is solved densely
+        V = np.linalg.eigh(A.toarray())[1][:, : min(k, n)]
+    else:
+        shift = max(0.0, -lower) + 1.0
+        lu = splu((A + shift * sparse.identity(n, dtype=A.dtype, format="csr")).tocsc())
+        rng = np.random.default_rng(seed)
+        v0 = rng.standard_normal(n)
+        if np.iscomplexobj(A):
+            v0 = v0 + 1j * rng.standard_normal(n)
+        op_inv = LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
+        try:
+            V = eigsh(A, k, sigma=-shift, OPinv=op_inv, v0=v0)[1]
+        except ArpackNoConvergence as exc:
+            raise NoConvergence(
+                f"ARPACK converged {exc.eigenvectors.shape[1]} of {k} eigenpairs",
+                best_result=_rayleigh_ritz(A, exc.eigenvectors, m),
+            ) from exc
 
-    rng = np.random.default_rng(seed)
-    b = min(block_size or (m + 2), n)
-    cap = min(max_subspace or max(8 * b, 12 * m, 64), n)
-
-    def rand_block(k):
-        X = rng.standard_normal((n, k)).astype(A.dtype)
-        if np.iscomplexobj(X):
-            X = X + 1j * rng.standard_normal((n, k))
-        return X
-
-    basis = _Basis(n, cap, A.dtype)
-    basis.append(rand_block(b), A, rng)
-    best = None
-
-    for _restart in range(max_restarts + 1):
-        stalled = False
-        while True:
-            Q, Qc, AQ = basis.views()
-            T = Qc.T @ AQ
-            mu, S = np.linalg.eigh(0.5 * (T + T.conj().T))
-            U = Q @ S[:, :m]
-            AU = AQ @ S[:, :m]
-            res = np.linalg.norm(AU - U * mu[:m], axis=0)
-            best = EigenResult(eigenvalues=mu[:m].copy(), eigenvectors=U, residuals=res)
-            if np.all(res <= tol * norm_a):
-                return best
-            if basis.size >= cap:
-                break
-            width = min(b, cap - basis.size)
-            Y = lu.solve(np.ascontiguousarray(basis.Q[:, basis.size - width : basis.size]))
-            if basis.append(Y, A, rng) == 0:
-                stalled = True
-                break
-        if basis.size >= n or stalled:
-            # spanned the whole space or hit an invariant subspace
-            return best
-        # thick restart: keep the best Ritz vectors and continue from them
-        keep = min(basis.size, m + 2 * b)
-        Q, Qc, AQ = basis.views()
-        T = Qc.T @ AQ
-        mu, S = np.linalg.eigh(0.5 * (T + T.conj().T))
-        kept = Q @ S[:, :keep]
-        basis = _Basis(n, cap, A.dtype)
-        basis.append(kept, A, rng)
-
-    raise NoConvergence(
-        f"no convergence after {max_restarts} restarts; best residuals {best.residuals}",
-        best_result=best,
-    )
+    result = _rayleigh_ritz(A, V, m)
+    if np.any(result.residuals > tol * norm_a):
+        raise NoConvergence(
+            f"residuals {result.residuals} exceed {tol} * {norm_a:.3e}", best_result=result
+        )
+    return result
 
 
 def multiplicity_estimate(eigenvalues, cluster_tol: float) -> int:

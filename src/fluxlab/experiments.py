@@ -351,9 +351,9 @@ def _half_flux_ground(cfg: ExperimentConfig, V, grid):
 
 
 def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None):
-    """Ground multiplicity at half flux: two on the centrally symmetric
-    domain, one once a potential bump breaks the symmetry, never above two
-    for a single hole."""
+    """Ground multiplicity at half flux: two on a centrally symmetric
+    domain and one on any other, one once a potential bump breaks the
+    symmetry, never above two for a single hole."""
     if cfg.domain.k != 1:
         raise ConfigError(f"multiplicity experiment needs exactly one hole, got {cfg.domain.k}")
     grid = build_grid(cfg.domain)
@@ -364,12 +364,15 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None):
     field, H, r, mult = _half_flux_ground(cfg, V, grid)
     width = s.cluster_tol * (1.0 + abs(r.eigenvalues[0]))
     gap_above = float(r.eigenvalues[min(mult, len(r.eigenvalues) - 1)] - r.eigenvalues[mult - 1]) if mult < len(r.eigenvalues) else np.nan
+    symmetric = cfg.domain.is_centrally_symmetric()
+    want = 2 if symmetric else 1
     verdicts.append(
         Verdict(
-            "symmetric-double-degeneracy",
-            mult == 2 and gap_above >= 10 * width,
-            f"half-flux ground multiplicity {mult} (want 2), next gap {gap_above:.3e} "
-            f">= 10x cluster width {width:.3e}",
+            "half-flux-ground-multiplicity",
+            mult == want and gap_above >= 10 * width,
+            f"half-flux ground multiplicity {mult} (want {want}: domain "
+            f"{'is' if symmetric else 'is not'} centrally symmetric), next gap "
+            f"{gap_above:.3e} >= 10x cluster width {width:.3e}",
         )
     )
     if grid.k == 1:

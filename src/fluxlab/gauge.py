@@ -104,11 +104,3 @@ def plaquette_sums(field: LinkField) -> np.ndarray:
             + field.phase(v01, v00)
         )
     return sums
-
-
-def dump_phases(field: LinkField, path):
-    """Plain-text list of directed edge phases for debugging."""
-    with open(path, "w") as f:
-        f.write("# tail head theta\n")
-        for e, (a, b) in enumerate(field.grid.edges):
-            f.write(f"{a} {b} {field.theta[e]!r}\n")

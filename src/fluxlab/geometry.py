@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -118,6 +118,17 @@ def outer_margin(outer, hole):
     return outer.r - max(math.hypot(cx - outer.cx, cy - outer.cy) for cx, cy in corners)
 
 
+def _reflected(shape, cx, cy):
+    """Image of a shape under the point reflection through (cx, cy)."""
+    if isinstance(shape, Disk):
+        return Disk(2 * cx - shape.cx, 2 * cy - shape.cy, shape.r)
+    return Rect(2 * cx - shape.x1, 2 * cy - shape.y1, 2 * cx - shape.x0, 2 * cy - shape.y0)
+
+
+def _same_shape(a, b):
+    return type(a) is type(b) and all(abs(p - q) <= EPS for p, q in zip(astuple(a), astuple(b)))
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Analytic description of a domain: outer shape, holes, grid step."""
@@ -134,6 +145,19 @@ class DomainSpec:
     @property
     def k(self):
         return len(self.holes)
+
+    def is_centrally_symmetric(self) -> bool:
+        """Whether z -> 2c - z, with c the center of the outer shape, maps the
+        holes and the lattice spacing*Z^2 onto themselves (the outer shape
+        always is).  Then the discretized domain shares the symmetry too."""
+        cx, cy = self.outer.reference_point()
+        steps = (2 * cx / self.spacing, 2 * cy / self.spacing)
+        if any(abs(s - round(s)) > EPS for s in steps):
+            return False
+        return all(
+            any(_same_shape(_reflected(hole, cx, cy), other) for other in self.holes)
+            for hole in self.holes
+        )
 
     def validate(self):
         """Check the analytic invariants; raise SpecTooCoarse on violation."""
@@ -425,17 +449,3 @@ def hole_loop(grid: GridDomain, i: int) -> LatticeLoop:
         if abs(w - want) > 0.25:
             raise SpecTooCoarse(f"loop around hole {i} winds {w:.3f} about hole {j + 1}")
     return loop
-
-
-def dump_geometry(grid: GridDomain, path):
-    """Plain-text vertex/edge listing for debugging."""
-    with open(path, "w") as f:
-        f.write(f"# vertices {grid.n_vertices} edges {grid.n_edges} holes {grid.k}\n")
-        f.write("# vertex i j x y boundary_label\n")
-        for v in range(grid.n_vertices):
-            i, j = grid.ij[v]
-            x, y = grid.xy[v]
-            f.write(f"v {v} {i} {j} {x!r} {y!r} {grid.boundary_labels[v]}\n")
-        f.write("# edge tail head\n")
-        for a, b in grid.edges:
-            f.write(f"e {a} {b}\n")

@@ -77,24 +77,9 @@ class HamiltonianMatrix:
         absrow = np.asarray(np.abs(self.matrix).sum(axis=1)).ravel()
         return float(absrow.max()) if absrow.size else 0.0
 
-    def gershgorin_lower(self) -> float:
-        a = self.matrix.tocsr()
-        diag = a.diagonal()
-        off = np.asarray(np.abs(a).sum(axis=1)).ravel() - np.abs(diag)
-        return float((diag.real - off).min())
-
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.getH()
         return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
-    def dump(self, path):
-        """Coordinate-format text dump: row col re im."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as f:
-            f.write(f"# {self.n} {self.n} {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                z = complex(v)
-                f.write(f"{r} {c} {z.real!r} {z.imag!r}\n")
 
 
 def _as_potential(V, n):
@@ -115,7 +100,9 @@ def assemble(graph: EdgeGraph, V=None, keep=None, bc="neumann") -> HamiltonianMa
 
     Edges to removed vertices still contribute to diagonals (the form term
     |u_v|^2/h^2 survives when the neighbor is pinned to zero), which is what
-    distinguishes a Dirichlet removal from shrinking the graph.
+    distinguishes a Dirichlet removal from shrinking the graph.  When every
+    phase is exactly 0 or pi the hops -cos(theta)/h^2 are real and so is the
+    matrix.
     """
     n = graph.n
     V = _as_potential(V, n)
@@ -134,12 +121,13 @@ def assemble(graph: EdgeGraph, V=None, keep=None, bc="neumann") -> HamiltonianMa
     vtx = np.nonzero(keep)[0]
     unk[vtx] = np.arange(vtx.size)
 
-    real = bool(np.all(graph.theta == 0.0))
+    real = bool(np.all((graph.theta == 0.0) | (graph.theta == np.pi)))
     dtype = np.float64 if real else np.complex128
     tails, heads = graph.edges[:, 0], graph.edges[:, 1]
     both = keep[tails] & keep[heads]
     a, b = unk[tails[both]], unk[heads[both]]
-    hop = np.full(a.size, -inv_h2) if real else -np.exp(-1j * graph.theta[both]) * inv_h2
+    theta = graph.theta[both]
+    hop = -(np.cos(theta) if real else np.exp(-1j * theta)) * inv_h2
 
     rows = np.concatenate([a, b, unk[vtx]])
     cols = np.concatenate([b, a, unk[vtx]])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import fluxlab as fl
 from fluxlab.cover import spanning_tree, tree_potential
@@ -146,6 +147,30 @@ def test_annulus_antisymmetric_spectrum(annulus, annulus_half_solve, annulus_cov
     cov, _ = annulus_cover
     ra = fl.lowest_eigenpairs(fl.antisymmetric_block(cov), 3, tol=1e-11)
     assert np.max(np.abs(ra.eigenvalues - r.eigenvalues) / np.abs(r.eigenvalues)) < 1e-8
+
+
+def test_antisymmetric_block_bit_identical_to_signed_hops(annulus, annulus_cover):
+    # reference: the block written out directly, hop +1/h^2 on cut edges
+    cov, _ = annulus_cover
+    n, (a, b) = annulus.n_vertices, annulus.edges.T
+    V = np.random.default_rng(3).uniform(0.0, 5.0, n)
+    inv_h2 = 1.0 / annulus.spacing**2
+    deg = np.bincount(annulus.edges.ravel(), minlength=n).astype(float)
+    hop = np.where(cov.cuts, inv_h2, -inv_h2)
+    for pot in (None, V):
+        diag = deg * inv_h2 + (0.0 if pot is None else pot)
+        want = sparse.csr_matrix(
+            (np.concatenate([hop, hop, diag]),
+             (np.concatenate([a, b, np.arange(n)]), np.concatenate([b, a, np.arange(n)]))),
+            shape=(n, n),
+        )
+        want.sum_duplicates()
+        got = fl.antisymmetric_block(cov, V=pot).matrix
+        assert got.dtype == np.float64
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    # the magnetic side of the cover equivalence stays an independent complex solve
+    assert np.iscomplexobj(fl.assemble_magnetic(annulus, fl.aharonov_bohm_potential(annulus, [0.5])).matrix)
 
 
 def test_symmetric_block_is_zero_flux(annulus, annulus_cover):

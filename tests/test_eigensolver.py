@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import fluxlab as fl
 from fluxlab.eigensolver import multiplicity_estimate
@@ -12,12 +13,17 @@ def dense_eigs(H, m):
     return np.linalg.eigvalsh(H.matrix.toarray())[:m]
 
 
-def test_small_circle_matches_dense_oracle():
-    H = fl.assemble_circle(8, 0.0)
-    r = fl.lowest_eigenpairs(H, 3, tol=1e-12)
-    want = dense_eigs(H, 3)
+@pytest.mark.parametrize("m", [3, 7])  # 7 takes the dense path: m + 2 >= n - 1
+@pytest.mark.parametrize("alpha", [0.0, 0.25])
+def test_small_circle_matches_dense_oracle(alpha, m):
+    H = fl.assemble_circle(8, alpha)
+    r = fl.lowest_eigenpairs(H, m, tol=1e-12)
+    want = dense_eigs(H, m)
     assert np.max(np.abs(r.eigenvalues - want)) < 1e-10
-    assert abs(want[1] - want[2]) < 1e-12  # degenerate pair resolved
+    G = r.eigenvectors.conj().T @ r.eigenvectors
+    assert np.max(np.abs(G - np.eye(m))) < 1e-10
+    if alpha == 0.0:
+        assert abs(want[1] - want[2]) < 1e-12  # degenerate pair resolved
 
 
 def test_circle_half_flux_pair():
@@ -80,9 +86,23 @@ def test_no_convergence_reports_best(annulus):
     f = fl.aharonov_bohm_potential(annulus, [0.3])
     H = fl.assemble_magnetic(annulus, f)
     with pytest.raises(NoConvergence) as exc:
-        fl.lowest_eigenpairs(H, 3, tol=1e-300, max_subspace=8, max_restarts=0)
+        fl.lowest_eigenpairs(H, 3, tol=1e-300)
     best = exc.value.best_result
     assert best is not None and best.residuals.shape == (3,)
+
+
+def test_arpack_failure_becomes_no_convergence(monkeypatch):
+    H = fl.assemble_circle(64, 0.25)
+    partial = np.linalg.eigh(H.matrix.toarray())[1][:, :2]
+
+    def stalled(A, k, **kwargs):
+        raise ArpackNoConvergence("stalled", np.zeros(2), partial)
+
+    monkeypatch.setattr(fl.eigensolver, "eigsh", stalled)
+    with pytest.raises(NoConvergence) as exc:
+        fl.lowest_eigenpairs(H, 3, tol=1e-10)
+    best = exc.value.best_result
+    assert best.eigenvalues.shape == (2,) and np.all(best.residuals < 1e-10)
 
 
 def test_multiplicity_estimate_examples():

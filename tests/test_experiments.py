@@ -184,6 +184,16 @@ def test_multiplicity_experiment(coarse_cfg, tmp_path):
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
 
 
+def test_multiplicity_off_center_hole_wants_simple_ground(tmp_path):
+    # no central symmetry: the half-flux ground state is simple, not a pair
+    p = tmp_path / "offset.cfg"
+    text = COARSE.format(epsilon="0.01", slit_mode="radial")
+    p.write_text(text.replace("hole1 = disk 0.0 0.0 0.3", "hole1 = disk 0.25 0.1 0.25"))
+    verdicts = run_multiplicity_experiment(load_config(p))
+    assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
+    assert "multiplicity 1 (want 1" in verdicts[0].detail
+
+
 def test_cover_equivalence(coarse_cfg, tmp_path):
     rows, verdicts = run_cover_equivalence(coarse_cfg, out_dir=tmp_path)
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]

@@ -122,11 +122,3 @@ def test_phase_antisymmetry(annulus):
     f = fl.aharonov_bohm_potential(annulus, [0.42])
     v, w = map(int, annulus.edges[annulus.n_edges // 2])
     assert f.phase(v, w) == -f.phase(w, v)
-
-
-def test_dump_phases(tmp_path, annulus):
-    f = fl.aharonov_bohm_potential(annulus, [0.5])
-    p = tmp_path / "phases.txt"
-    fl.gauge.dump_phases(f, p)
-    lines = [l for l in p.read_text().splitlines() if not l.startswith("#")]
-    assert len(lines) == annulus.n_edges

@@ -163,10 +163,17 @@ def test_degenerate_chain_grid():
     assert g.n_edges == 10
 
 
-def test_geometry_dump(tmp_path, annulus):
-    path = tmp_path / "grid.txt"
-    fl.geometry.dump_geometry(annulus, path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# vertices")
-    assert sum(1 for l in text if l.startswith("v ")) == annulus.n_vertices
-    assert sum(1 for l in text if l.startswith("e ")) == annulus.n_edges
+def test_central_symmetry():
+    def ring(c, h):
+        return fl.DomainSpec(outer=fl.Disk(c, 0, 1.0), holes=(fl.Disk(c, 0, 0.3),), spacing=h)
+
+    assert ring(0.0, 0.05).is_centrally_symmetric()
+    assert ring(0.1, 0.05).is_centrally_symmetric()  # 2c on the lattice
+    assert not ring(0.1, 0.08).is_centrally_symmetric()  # lattice breaks the symmetry
+    offset = fl.DomainSpec(outer=fl.Disk(0, 0, 1.0), holes=(fl.Disk(0.25, 0.1, 0.25),), spacing=0.02)
+    assert not offset.is_centrally_symmetric()
+    pair = (fl.Disk(1.0, 0.5, 0.2), fl.Disk(2.0, 0.5, 0.2))
+    assert fl.DomainSpec(outer=fl.Rect(0, 0, 3, 1), holes=pair, spacing=0.02).is_centrally_symmetric()
+    assert not fl.DomainSpec(outer=fl.Rect(0, 0, 3, 1), holes=pair[:1], spacing=0.02).is_centrally_symmetric()
+    rect_hole = (fl.Rect(0.8, 0.4, 1.2, 0.6),)
+    assert fl.DomainSpec(outer=fl.Rect(0, 0, 2, 1), holes=rect_hole, spacing=0.05).is_centrally_symmetric()

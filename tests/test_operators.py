@@ -195,17 +195,3 @@ def test_shortest_slit(annulus):
     assert slit.start_label == 0 and slit.end_label == 1
     H = fl.assemble_slit(annulus, fl.zero_field(annulus), slit=slit)
     assert fl.lowest_eigenpairs(H, 1, tol=1e-10).eigenvalues[0] > 0.1
-
-
-def test_matrix_dump_roundtrip(tmp_path):
-    H = fl.assemble_circle(16, 0.25)
-    p = tmp_path / "mat.txt"
-    H.dump(p)
-    lines = p.read_text().splitlines()
-    n, _, nnz = map(int, lines[0][2:].split())
-    assert n == 16 and nnz == len(lines) - 1
-    A = np.zeros((n, n), dtype=complex)
-    for line in lines[1:]:
-        r, c, re, im = line.split()
-        A[int(r), int(c)] = float(re) + 1j * float(im)
-    assert np.max(np.abs(A - H.matrix.toarray())) == 0.0
