@@ -107,6 +107,15 @@ def _floats(text):
     return tuple(float(t) for t in text.split())
 
 
+def _value(section, key, default, convert=float):
+    """section[key] (or default) through convert; ConfigError if it does not parse."""
+    text = section.get(key, default)
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad [{section.name}] {key} = {text!r}") from exc
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment configuration file; raise ConfigError on problems."""
     if not os.path.exists(path):
@@ -143,9 +152,9 @@ def load_config(path) -> ExperimentConfig:
         params = {}
         for key in ("radius", "depth", "sigma", "amplitude"):
             if key in pot:
-                params[key] = float(pot[key])
+                params[key] = _value(pot, key, None)
         if "center" in pot:
-            params["center"] = _floats(pot["center"])
+            params["center"] = _value(pot, "center", None, _floats)
         if "file" in pot:
             ref = pot["file"]
             if not os.path.isabs(ref):
@@ -160,9 +169,9 @@ def load_config(path) -> ExperimentConfig:
     if "sweep" in cp:
         sw = cp["sweep"]
         cfg.sweep = (
-            float(sw.get("start", "0.0")),
-            float(sw.get("stop", "1.0")),
-            float(sw.get("step", "0.025")),
+            _value(sw, "start", "0.0"),
+            _value(sw, "stop", "1.0"),
+            _value(sw, "step", "0.025"),
         )
         if cfg.sweep[2] <= 0:
             raise ConfigError("sweep step must be positive")
@@ -170,25 +179,29 @@ def load_config(path) -> ExperimentConfig:
     if "solver" in cp:
         so = cp["solver"]
         cfg.solver = SolverSettings(
-            count=int(so.get("count", "3")),
-            tol=float(so.get("tol", "1e-10")),
-            seed=int(so.get("seed", str(0x5EED)), 0),
-            cluster_tol=float(so.get("cluster_tol", "1e-3")),
+            count=_value(so, "count", "3", int),
+            tol=_value(so, "tol", "1e-10"),
+            seed=_value(so, "seed", str(0x5EED), lambda t: int(t, 0)),
+            cluster_tol=_value(so, "cluster_tol", "1e-3"),
         )
+        if cfg.solver.count < 1:
+            raise ConfigError(f"[solver] count must be at least 1, got {cfg.solver.count}")
+        if not (cfg.solver.tol > 0 and cfg.solver.cluster_tol > 0):
+            raise ConfigError("[solver] tol and cluster_tol must be positive")
 
     if "circle" in cp:
         ci = cp["circle"]
         cfg.circle = CircleSettings(
-            points=int(ci.get("points", "256")),
-            alphas=_floats(ci.get("alphas", "0 0.1 0.25 0.4 0.5")),
-            epsilon=float(ci.get("epsilon", "0.01")),
+            points=_value(ci, "points", "256", int),
+            alphas=_value(ci, "alphas", "0 0.1 0.25 0.4 0.5", _floats),
+            epsilon=_value(ci, "epsilon", "0.01"),
         )
 
     if "slit" in cp:
         sl = cp["slit"]
         cfg.slit = SlitSettings(
-            count=int(sl.get("count", "32")),
-            hole=int(sl.get("hole", "1")),
+            count=_value(sl, "count", "32", int),
+            hole=_value(sl, "hole", "1", int),
             mode=sl.get("mode", "radial"),
         )
         if cfg.slit.mode not in ("radial", "shortest"):
@@ -197,10 +210,10 @@ def load_config(path) -> ExperimentConfig:
     if "multiplicity" in cp:
         mu = cp["multiplicity"]
         cfg.multiplicity = MultiplicitySettings(
-            bump_amplitude=float(mu.get("bump_amplitude", "40.0")),
-            bump_sigma=float(mu.get("bump_sigma", "0.2")),
-            bump_angle=float(mu.get("bump_angle", "0.0")),
-            bump_radius=float(mu.get("bump_radius", "0.65")),
+            bump_amplitude=_value(mu, "bump_amplitude", "40.0"),
+            bump_sigma=_value(mu, "bump_sigma", "0.2"),
+            bump_angle=_value(mu, "bump_angle", "0.0"),
+            bump_radius=_value(mu, "bump_radius", "0.65"),
         )
 
     if "experiment" in cp:

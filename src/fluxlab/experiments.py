@@ -16,11 +16,11 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .cover import (
+    ConjugationOperator,
     antisymmetric_block,
     assemble_lifted,
     build_cover,
     build_theta,
-    conjugation_operator,
     lift_to_cover,
     real_representatives,
     symmetric_block,
@@ -391,7 +391,7 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None):
     fieldb, Hb, rb, multb = _half_flux_ground(cfg, Vb, grid)
     cov = build_cover(as_edge_graph(grid, fieldb))
     theta = build_theta(cov)
-    kop = conjugation_operator(grid, fieldb)
+    kop = ConjugationOperator.from_cover(cov)
     rep = real_representatives(rb.eigenvectors[:, :1], kop)[:, 0]
     nod = extract_nodal_set(np.sqrt(2.0) * lift_to_cover(rep, theta).real, cov, grid)
     report = topology_report(nod, grid)
@@ -515,7 +515,7 @@ def run_nodal(cfg: ExperimentConfig, out_dir=None):
     field, H, r, mult = _half_flux_ground(cfg, V, grid)
     cov = build_cover(as_edge_graph(grid, field))
     theta = build_theta(cov)
-    kop = conjugation_operator(grid, field)
+    kop = ConjugationOperator.from_cover(cov)
     reps = real_representatives(r.eigenvectors[:, :mult], kop)
 
     verdicts = []

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 import fluxlab as fl
 from fluxlab.eigensolver import multiplicity_estimate
@@ -80,6 +80,30 @@ def test_deterministic(annulus):
     b = fl.lowest_eigenpairs(H, 3, tol=1e-10)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def test_factorization_is_symmetric_mode(annulus, monkeypatch):
+    # the shifted matrix is Hermitian positive definite, so SuperLU runs
+    # without row interchanges and with the ordering on both sides
+    recorded = []
+
+    def recording_splu(A, **kwargs):
+        lu = splu(A, **kwargs)
+        recorded.append((A, lu))
+        return lu
+
+    monkeypatch.setattr(fl.eigensolver, "splu", recording_splu)
+    complex_h = fl.assemble_magnetic(annulus, fl.aharonov_bohm_potential(annulus, [0.3]))
+    slit = fl.radial_slit(annulus, 1, 0.0)
+    real_h = fl.assemble_slit(annulus, fl.zero_field(annulus), slit=slit)
+    assert np.iscomplexobj(complex_h.matrix) and not np.iscomplexobj(real_h.matrix)
+    for H in (complex_h, real_h):
+        recorded.clear()
+        r = fl.lowest_eigenpairs(H, 3, tol=1e-10)
+        [(shifted, lu)] = recorded
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert lu.nnz < splu(shifted).nnz
+        assert np.max(np.abs(r.eigenvalues - dense_eigs(H, 3))) < 1e-9
 
 
 def test_no_convergence_reports_best(annulus):

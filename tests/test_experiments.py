@@ -222,6 +222,30 @@ def test_cli_missing_config(tmp_path):
     assert cli_main(["sweep", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("sweep", "step = abc"),
+        ("solver", "count = three"),
+        ("solver", "seed = 0xZZ"),
+        ("circle", "epsilon = small"),
+        ("slit", "count = 8.5"),
+        ("multiplicity", "bump_sigma = wide"),
+        ("potential", "depth = deep"),
+        ("solver", "count = 0"),
+        ("solver", "tol = 0"),
+        ("solver", "cluster_tol = -1e-3"),
+    ],
+)
+def test_cli_bad_value_exits_2(tmp_path, section, line):
+    cfgp = tmp_path / "c.cfg"
+    domain = COARSE.split("[sweep]")[0]
+    cfgp.write_text(f"{domain}[{section}]\n{line}\n")
+    with pytest.raises(ConfigError):
+        load_config(cfgp)
+    assert cli_main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
+
+
 def test_cli_all_coarse(tmp_path):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(COARSE.format(epsilon="0.01", slit_mode="radial"))
