@@ -175,6 +175,8 @@ def load_config(path) -> ExperimentConfig:
         )
         if cfg.sweep[2] <= 0:
             raise ConfigError("sweep step must be positive")
+        if cfg.sweep[1] < cfg.sweep[0]:
+            raise ConfigError(f"empty sweep: stop {cfg.sweep[1]} is below start {cfg.sweep[0]}")
 
     if "solver" in cp:
         so = cp["solver"]

@@ -12,7 +12,6 @@ spectrum of the plain lifted Laplacian.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,36 +34,45 @@ def spanning_tree(graph: EdgeGraph):
     Returns (order, parent_vertex, parent_edge, parent_sign, is_tree_edge).
     Deterministic; raises DisconnectedDomain if the graph is disconnected.
     """
+    # imported here: csgraph's extension modules add about 1 MB of peak RSS
+    # to runs that never build a tree
+    from scipy.sparse.csgraph import breadth_first_order
+
     adj = graph.adjacency()
-    parent = np.full(graph.n, -1, dtype=np.int64)
+    # on sorted CSR rows the traversal visits neighbors in ascending order
+    order, pred = breadth_first_order(adj, 0, directed=True, return_predecessors=True)
+    if order.size != graph.n:
+        raise DisconnectedDomain("graph is not connected")
+    order = order.astype(np.int64)
+    parent = pred.astype(np.int64)
+    parent[0] = -1
     parent_edge = np.full(graph.n, -1, dtype=np.int64)
     parent_sign = np.zeros(graph.n, dtype=np.int8)
-    seen = np.zeros(graph.n, dtype=bool)
+    child = order[1:]
+    # CSR entries sorted by (row, column) give one flat key per edge direction
+    rows = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(adj.indptr))
+    keys = rows * graph.n + adj.indices
+    signed = adj.data[np.searchsorted(keys, parent[child] * graph.n + child)]
+    parent_edge[child] = np.abs(signed) - 1
+    parent_sign[child] = np.sign(signed)
     is_tree = np.zeros(graph.edges.shape[0], dtype=bool)
-    order = []
-    q = deque([0])
-    seen[0] = True
-    while q:
-        v = q.popleft()
-        order.append(v)
-        for w, e, sign in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                parent_edge[w] = e
-                parent_sign[w] = sign
-                is_tree[e] = True
-                q.append(w)
-    if not seen.all():
-        raise DisconnectedDomain("graph is not connected")
+    is_tree[parent_edge[child]] = True
     return order, parent, parent_edge, parent_sign, is_tree
 
 
 def tree_potential(graph: EdgeGraph, tree=None) -> np.ndarray:
     """Integral of the link phases along the spanning tree, rooted at 0."""
     order, parent, parent_edge, parent_sign, _ = tree or spanning_tree(graph)
+    position = np.empty(graph.n, dtype=np.int64)
+    position[order] = np.arange(graph.n)
+    # parents' BFS positions are nondecreasing along the order, so the
+    # children of the slice order[lo:hi] are the next contiguous slice
+    parent_position = position[parent[order[1:]]]
     eta = np.zeros(graph.n)
-    for v in order[1:]:
+    lo, hi = 0, 1
+    while hi < graph.n:
+        lo, hi = hi, 1 + int(np.searchsorted(parent_position, hi))
+        v = order[lo:hi]
         eta[v] = eta[parent[v]] + parent_sign[v] * graph.theta[parent_edge[v]]
     return eta
 

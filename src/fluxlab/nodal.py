@@ -13,11 +13,10 @@ the number of components the lifted complement has on the cover.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from .cover import CoverGraph, CoverPhase, build_theta, lift_to_cover
 from .eigensolver import multiplicity_estimate
@@ -83,8 +82,8 @@ class SlitReport:
 
 def _sign(x):
     # exact zeros are nudged to the positive side; measure-zero, deterministic,
-    # and identical for both lifts since -0.0 == 0.0
-    return x > 0.0 or x == 0.0
+    # and identical for both lifts since -0.0 == 0.0; elementwise on arrays
+    return (x > 0.0) | (x == 0.0)
 
 
 def _cut_rasters(grid: GridDomain, cover: CoverGraph):
@@ -132,6 +131,16 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
     cx, cy = _cut_rasters(grid, cover)
     cells = _cell_mask(grid)
 
+    # only cells whose anchored-lift corners differ in sign hold a crossing
+    s10 = anchor_sheet ^ cx[:-1, :-1]
+    signs = np.stack([
+        _sign(f[vid[:-1, :-1] + n * anchor_sheet]),
+        _sign(f[vid[1:, :-1] + n * s10]),
+        _sign(f[vid[:-1, 1:] + n * (anchor_sheet ^ cy[:-1, :-1])]),
+        _sign(f[vid[1:, 1:] + n * (s10 ^ cy[1:, :-1])]),
+    ])
+    mixed = cells & signs.any(axis=0) & ~signs.all(axis=0)
+
     nodes = {}     # edge key -> crossing point
     segments = []  # (key1, key2, (a, b))
 
@@ -146,7 +155,7 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
             nodes[key] = pa + t * (pb - pa)
         return key
 
-    for a, b in np.argwhere(cells):
+    for a, b in np.argwhere(mixed):
         v00, v10 = int(vid[a, b]), int(vid[a + 1, b])
         v01, v11 = int(vid[a, b + 1]), int(vid[a + 1, b + 1])
         s00 = anchor_sheet
@@ -301,33 +310,26 @@ def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:
 
 def _cover_components(nodal: NodalSet, grid: GridDomain, free) -> int:
     """Components of the lifted free cells; sheets propagate through cut bits."""
+    from scipy.sparse.csgraph import connected_components  # see cover.spanning_tree
+
+    n_free = int(np.count_nonzero(free))
+    if n_free == 0:
+        return 0
     cx, cy = _cut_rasters(grid, nodal.cover)
-    fa, fb = np.nonzero(free)
-    index = {(int(a), int(b)): t for t, (a, b) in enumerate(zip(fa, fb))}
-    seen = np.zeros((len(index), 2), dtype=bool)
-    count = 0
-    for start in index:
-        for sheet0 in (0, 1):
-            if seen[index[start], sheet0]:
-                continue
-            count += 1
-            q = deque([(start[0], start[1], sheet0)])
-            seen[index[start], sheet0] = True
-            while q:
-                a, b, s = q.popleft()
-                moves = (
-                    (a + 1, b, s ^ cx[a, b]),
-                    (a - 1, b, s ^ cx[a - 1, b] if a - 1 >= 0 else s),
-                    (a, b + 1, s ^ cy[a, b]),
-                    (a, b - 1, s ^ cy[a, b - 1] if b - 1 >= 0 else s),
-                )
-                for na, nb, ns in moves:
-                    key = (na, nb)
-                    t = index.get(key)
-                    if t is not None and not seen[t, int(ns)]:
-                        seen[t, int(ns)] = True
-                        q.append((na, nb, int(ns)))
-    return count
+    na, nb = free.shape
+    index = np.full(free.shape, -1, dtype=np.int64)
+    index[free] = np.arange(n_free)
+    # node t + n_free * s is free cell t on sheet s; a step across a cut edge
+    # changes sheet: cx[a, b] links (a, b) to (a + 1, b), cy[a, b] to (a, b + 1)
+    x_link = free[:-1, :] & free[1:, :]
+    y_link = free[:, :-1] & free[:, 1:]
+    t0 = np.concatenate([index[:-1, :][x_link], index[:, :-1][y_link]])
+    t1 = np.concatenate([index[1:, :][x_link], index[:, 1:][y_link]])
+    cut = np.concatenate([cx[: na - 1, :nb][x_link], cy[:na, : nb - 1][y_link]]).astype(np.int64)
+    rows = np.concatenate([t0, t0 + n_free])
+    cols = np.concatenate([t1 + n_free * cut, t1 + n_free * (1 - cut)])
+    g = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n_free, 2 * n_free))
+    return int(connected_components(g, directed=False)[0])
 
 
 def degenerate_pair_check(
@@ -404,5 +406,5 @@ def polylines_text(nodal: NodalSet, path):
             tag = "closed" if lab is None else f"{lab[0]} {lab[1]}"
             fh.write(f"# line endpoints {tag}\n")
             for x, y in poly:
-                fh.write(f"{x!r} {y!r}\n")
+                fh.write(f"{float(x)!r} {float(y)!r}\n")
             fh.write("\n")

@@ -32,14 +32,23 @@ class EdgeGraph:
     theta: np.ndarray   # (m,) link phase per canonical edge
     spacing: float
 
-    def adjacency(self):
-        """Per-vertex list of (neighbor, edge id, +1/-1), sorted by neighbor."""
-        adj = [[] for _ in range(self.n)]
-        for e, (a, b) in enumerate(self.edges):
-            adj[a].append((int(b), e, 1))
-            adj[b].append((int(a), e, -1))
-        for lst in adj:
-            lst.sort()
+    def adjacency(self) -> sparse.csr_matrix:
+        """Symmetric signed adjacency in CSR form with sorted indices.
+
+        Entry (v, w) is e + 1 for the canonical edge e = v -> w and -(e + 1)
+        for its reverse.  Raises ValueError on a loop or a repeated edge,
+        which would merge two entries.
+        """
+        m = self.edges.shape[0]
+        ids = np.arange(1, m + 1, dtype=np.int64)
+        tails, heads = self.edges[:, 0], self.edges[:, 1]
+        adj = sparse.csr_matrix(
+            (np.concatenate([ids, -ids]), (np.concatenate([tails, heads]), np.concatenate([heads, tails]))),
+            shape=(self.n, self.n),
+        )
+        if adj.nnz != 2 * m:
+            raise ValueError("edge list has a loop or a repeated edge")
+        adj.sort_indices()
         return adj
 
 

@@ -1,5 +1,7 @@
 """Twofold cover: cut parities, cover phase, lift isometry, conjugation."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -261,6 +263,51 @@ def test_degenerate_projection_error(annulus, annulus_half):
     K = fl.conjugation_operator(annulus, annulus_half)
     with pytest.raises(DegenerateProjection):
         fl.real_representatives(np.zeros((annulus.n_vertices, 1), dtype=complex), K)
+
+
+def oracle_tree_and_potential(graph):
+    """Reference BFS over sorted Python adjacency lists and the per-vertex potential loop."""
+    adj = [[] for _ in range(graph.n)]
+    for e, (a, b) in enumerate(graph.edges):
+        adj[a].append((int(b), e, 1))
+        adj[b].append((int(a), e, -1))
+    parent = np.full(graph.n, -1, dtype=np.int64)
+    parent_edge = np.full(graph.n, -1, dtype=np.int64)
+    parent_sign = np.zeros(graph.n, dtype=np.int8)
+    is_tree = np.zeros(graph.edges.shape[0], dtype=bool)
+    seen = np.zeros(graph.n, dtype=bool)
+    seen[0] = True
+    order, q = [], deque([0])
+    while q:
+        v = q.popleft()
+        order.append(v)
+        for w, e, sign in sorted(adj[v]):
+            if not seen[w]:
+                seen[w] = True
+                parent[w], parent_edge[w], parent_sign[w] = v, e, sign
+                is_tree[e] = True
+                q.append(w)
+    eta = np.zeros(graph.n)
+    for v in order[1:]:
+        eta[v] = eta[parent[v]] + parent_sign[v] * graph.theta[parent_edge[v]]
+    return (np.array(order), parent, parent_edge, parent_sign, is_tree), eta
+
+
+def test_spanning_tree_and_potential_match_oracle(annulus, annulus_cover):
+    cov, _ = annulus_cover
+    generic = fl.as_edge_graph(annulus, fl.aharonov_bohm_potential(annulus, [0.3]))
+    for graph in (generic, cov.as_edge_graph()):
+        tree = spanning_tree(graph)
+        want_tree, want_eta = oracle_tree_and_potential(graph)
+        for got, want in zip(tree, want_tree):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(tree_potential(graph, tree), want_eta)
+
+
+def test_adjacency_rejects_repeated_edge():
+    graph = fl.EdgeGraph(n=3, edges=np.array([[0, 1], [1, 2], [1, 0]]), theta=np.zeros(3), spacing=1.0)
+    with pytest.raises(ValueError):
+        graph.adjacency()
 
 
 def test_spanning_tree_disconnected():

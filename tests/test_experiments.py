@@ -226,6 +226,7 @@ def test_cli_missing_config(tmp_path):
     "section, line",
     [
         ("sweep", "step = abc"),
+        ("sweep", "start = 1.0\nstop = 0.0"),
         ("solver", "count = three"),
         ("solver", "seed = 0xZZ"),
         ("circle", "epsilon = small"),

@@ -1,11 +1,13 @@
 """Nodal extraction and the slitting topology report."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 import fluxlab as fl
 from fluxlab.errors import NoSignChange, PreconditionViolated
-from fluxlab.nodal import NodalSet, _cell_mask
+from fluxlab.nodal import NodalSet, _cell_mask, _cover_components, _cut_rasters
 
 
 def ground_representatives(grid, flux_field, m=None, tol=1e-11):
@@ -69,6 +71,83 @@ def test_projection_consistency(annulus, annulus_half, annulus_cover):
     a = fl.extract_nodal_set(f, cov, annulus, anchor_sheet=0)
     b = fl.extract_nodal_set(f, cov, annulus, anchor_sheet=1)
     assert a.crossed_cells == b.crossed_cells
+
+
+def test_projection_consistency_two_holes(two_holes):
+    _, reps, cov, th = ground_representatives(two_holes, fl.aharonov_bohm_potential(two_holes, [0.5, 0.5]))
+    f = np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real
+    a = fl.extract_nodal_set(f, cov, two_holes, anchor_sheet=0)
+    b = fl.extract_nodal_set(f, cov, two_holes, anchor_sheet=1)
+    assert a.crossed_cells == b.crossed_cells
+    assert len(a.polylines) == len(b.polylines) > 0
+    assert all(np.array_equal(p, q) for p, q in zip(a.polylines, b.polylines))
+    assert a.endpoint_labels == b.endpoint_labels
+
+
+def free_cells(nodal, grid):
+    """The free-cell mask topology_report builds."""
+    free = _cell_mask(grid)
+    for a, b in nodal.crossed_cells:
+        if 0 <= a < free.shape[0] and 0 <= b < free.shape[1]:
+            free[a, b] = False
+    return free
+
+
+def oracle_cover_components(nodal, grid, free):
+    """Reference BFS over (cell, sheet) pairs; a step across a cut edge changes sheet."""
+    cx, cy = _cut_rasters(grid, nodal.cover)
+    index = {(int(a), int(b)): t for t, (a, b) in enumerate(np.argwhere(free))}
+    seen = np.zeros((len(index), 2), dtype=bool)
+    count = 0
+    for start in index:
+        for sheet0 in (0, 1):
+            if seen[index[start], sheet0]:
+                continue
+            count += 1
+            seen[index[start], sheet0] = True
+            q = deque([(start[0], start[1], sheet0)])
+            while q:
+                a, b, s = q.popleft()
+                moves = (
+                    (a + 1, b, s ^ cx[a, b]),
+                    (a - 1, b, s ^ cx[a - 1, b] if a > 0 else s),
+                    (a, b + 1, s ^ cy[a, b]),
+                    (a, b - 1, s ^ cy[a, b - 1] if b > 0 else s),
+                )
+                for na, nb, ns in moves:
+                    t = index.get((na, nb))
+                    if t is not None and not seen[t, int(ns)]:
+                        seen[t, int(ns)] = True
+                        q.append((na, nb, int(ns)))
+    return count
+
+
+def hand_nodal_set(grid, cover, lines, labels):
+    cells = frozenset().union(*[rasterize_polyline(grid, line) for line in lines])
+    return NodalSet(polylines=lines, endpoint_labels=labels, crossed_cells=cells, cover=cover)
+
+
+def test_cover_components_match_oracle(annulus, annulus_half, annulus_cover, two_holes):
+    sets = []
+    for grid, flux in ((annulus, annulus_half), (two_holes, fl.aharonov_bohm_potential(two_holes, [0.5, 0.5]))):
+        _, reps, cov, th = ground_representatives(grid, flux)
+        sets.append((fl.extract_nodal_set(np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real, cov, grid), grid))
+    # hand-stripped sets that fail slitting: the two-hole line cut short, and
+    # two radial annulus lines that split the complement
+    line = sets[1][0].polylines[0]
+    sets.append((hand_nodal_set(two_holes, sets[1][0].cover, [line[: len(line) // 2]], [(1, -1)]), two_holes))
+    ts = np.linspace(0.3, 1.0, 30)
+    radial = [np.column_stack([ts * np.cos(ang), ts * np.sin(ang)]) for ang in (0.3, 2.1)]
+    sets.append((hand_nodal_set(annulus, annulus_cover[0], radial, [(1, 0), (1, 0)]), annulus))
+    passes = [fl.topology_report(nod, grid).passes_slitting for nod, grid in sets]
+    assert passes == [True, True, False, False]
+
+    cases = [(nod, grid, free_cells(nod, grid)) for nod, grid in sets]
+    # every cell crossed: nothing free, no components
+    cases.append((sets[0][0], annulus, np.zeros_like(cases[0][2])))
+    counts = [_cover_components(*case) for case in cases]
+    assert counts == [oracle_cover_components(*case) for case in cases]
+    assert counts[:2] == [2, 2] and counts[-1] == 0
 
 
 def test_empty_nodal_set_fails_parity(annulus, annulus_cover):
@@ -182,6 +261,8 @@ def test_polylines_text(tmp_path, annulus, annulus_half):
     text = p.read_text()
     assert text.startswith("# line endpoints")
     assert len([l for l in text.splitlines() if l and not l.startswith("#")]) == len(nod.polylines[0])
+    # plain floats that read back exactly
+    assert np.array_equal(np.loadtxt(p, comments="#"), np.vstack(nod.polylines))
 
 
 def test_report_json_line(annulus, annulus_half):
