@@ -3,14 +3,16 @@
 A config names a domain, a potential, a flux sweep grid, solver settings
 and per-experiment parameters.  Shapes are written as `disk cx cy r` or
 `rect x0 y0 x1 y1`; holes are keys starting with `hole` in the [domain]
-section, ordered by key.
+section, ordered by key.  An unknown section or key is a ConfigError, and
+so is any setting next to a `[domain] file = other.cfg` reference, or a
+referenced file that refers on to a third.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -103,6 +105,32 @@ class ExperimentConfig:
         return np.round(np.arange(start, stop + 0.5 * step, step), 12)
 
 
+_POTENTIAL_PARAMS = ("radius", "depth", "sigma", "amplitude")
+
+# the keys each section reader takes; [domain] also takes every key that
+# starts with "hole"
+_SECTION_KEYS = {
+    "domain": ("outer", "spacing", "file"),
+    "potential": ("kind", "center", "file") + _POTENTIAL_PARAMS,
+    "sweep": ("start", "stop", "step"),
+    "solver": tuple(f.name for f in fields(SolverSettings)),
+    "circle": tuple(f.name for f in fields(CircleSettings)),
+    "slit": tuple(f.name for f in fields(SlitSettings)),
+    "multiplicity": tuple(f.name for f in fields(MultiplicitySettings)),
+    "experiment": ("name",),
+}
+
+
+def _check_keys(cp, path):
+    """ConfigError on a section or key that no reader takes."""
+    for name in cp.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"{path}: unknown section [{name}]")
+        for key in cp[name]:
+            if key not in _SECTION_KEYS[name] and not (name == "domain" and key.startswith("hole")):
+                raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
+
+
 def _floats(text):
     return tuple(float(t) for t in text.split())
 
@@ -116,7 +144,7 @@ def _value(section, key, default, convert=float):
         raise ConfigError(f"bad [{section.name}] {key} = {text!r}") from exc
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, *, _referenced_by=None) -> ExperimentConfig:
     """Parse an experiment configuration file; raise ConfigError on problems."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -127,15 +155,25 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if "domain" not in cp:
         raise ConfigError("config needs a [domain] section")
+    _check_keys(cp, path)
 
     dom = cp["domain"]
     if "file" in dom:
         ref = dom["file"]
+        # the referenced file is the whole config: settings next to the
+        # reference would be dropped
+        if len(dom) > 1 or len(cp.sections()) > 1:
+            raise ConfigError(
+                f"{path}: [domain] file = {ref} must be the only setting in the file"
+            )
+        # one hop only, so a file that refers back to itself cannot recurse
+        if _referenced_by is not None:
+            raise ConfigError(f"{path}, referenced by {_referenced_by}, refers on to {ref}")
         if not os.path.isabs(ref):
             ref = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
         if not os.path.exists(ref):
             raise ConfigError(f"referenced domain file not found: {ref}")
-        return load_config(ref)
+        return load_config(ref, _referenced_by=path)
     try:
         outer = parse_shape(dom["outer"])
         holes = tuple(parse_shape(dom[k]) for k in sorted(dom) if k.startswith("hole"))
@@ -150,7 +188,7 @@ def load_config(path) -> ExperimentConfig:
         pot = cp["potential"]
         cfg.potential_kind = pot.get("kind", "zero")
         params = {}
-        for key in ("radius", "depth", "sigma", "amplitude"):
+        for key in _POTENTIAL_PARAMS:
             if key in pot:
                 params[key] = _value(pot, key, None)
         if "center" in pot:

@@ -85,7 +85,6 @@ class CoverGraph:
     cuts: np.ndarray        # (m,) bool, True where the edge crosses sheets
     connected: bool
     circulations: np.ndarray  # (m,) fundamental-cycle circulation per edge (0 on tree edges)
-    eta: np.ndarray = None    # (n,) base tree potential the circulations were read from
     _cover_edges: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -152,9 +151,9 @@ def build_cover(base: EdgeGraph, tol: float = 1e-9) -> CoverGraph:
     cycle is genuinely half-integer; all-integer circulations give the
     trivial two-copy cover.
     """
-    eta, circ = _half_integer_circulations(base, 2 * tol)
+    _, circ = _half_integer_circulations(base, 2 * tol)
     cuts = np.abs(np.round(2.0 * circ).astype(np.int64)) % 2 == 1
-    return CoverGraph(base=base, cuts=cuts, connected=bool(cuts.any()), circulations=circ, eta=eta)
+    return CoverGraph(base=base, cuts=cuts, connected=bool(cuts.any()), circulations=circ)
 
 
 @dataclass
@@ -249,19 +248,6 @@ class ConjugationOperator:
         eta, _ = _half_integer_circulations(graph, tol)
         self.graph = graph
         self.psi = -2.0 * eta
-
-    @classmethod
-    def from_cover(cls, cover: CoverGraph) -> "ConjugationOperator":
-        """K on the cover's base graph, from the tree potential build_cover kept.
-
-        build_cover checks the doubled circulations to 2 * its tol (2e-9 by
-        default), which implies K's own 1e-8 check, so no second spanning
-        tree is built.
-        """
-        kop = cls.__new__(cls)
-        kop.graph = cover.base
-        kop.psi = -2.0 * cover.eta
-        return kop
 
     def apply(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=complex).reshape(-1)

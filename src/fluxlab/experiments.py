@@ -16,13 +16,11 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .cover import (
-    ConjugationOperator,
     antisymmetric_block,
     assemble_lifted,
     build_cover,
     build_theta,
     lift_to_cover,
-    real_representatives,
     symmetric_block,
 )
 from .eigensolver import lowest_eigenpairs, multiplicity_estimate
@@ -261,10 +259,8 @@ def _slit_minimum(cfg: ExperimentConfig, domain: DomainSpec):
     grid = build_grid(domain)
     V = cfg.potential(grid)
     s = cfg.solver
-    field = aharonov_bohm_potential(grid, [0.5] * grid.k)
-    lam_mag = float(
-        lowest_eigenpairs(assemble_magnetic(grid, field, V=V), 1, tol=s.tol, seed=s.seed).eigenvalues[0]
-    )
+    H = antisymmetric_block(_half_flux_cover(grid), V=V)
+    lam_mag = float(lowest_eigenpairs(H, 1, tol=s.tol, seed=s.seed).eigenvalues[0])
     zf = zero_field(grid)
     rows = []
     for j, slit in enumerate(_slit_family(cfg, grid)):
@@ -341,13 +337,24 @@ def run_slit_infimum(cfg: ExperimentConfig, out_dir=None, refine=False):
     return rows, verdicts
 
 
-def _half_flux_ground(cfg: ExperimentConfig, V, grid):
-    s = cfg.solver
+def _half_flux_cover(grid):
+    """Twofold cover of the grid with circulation 1/2 around every hole."""
     field = aharonov_bohm_potential(grid, [0.5] * grid.k)
-    H = assemble_magnetic(grid, field, V=V)
-    r = lowest_eigenpairs(H, max(s.count, 4), tol=s.tol, seed=s.seed)
+    return build_cover(as_edge_graph(grid, field))
+
+
+def _half_flux_ground(cfg: ExperimentConfig, V, grid):
+    """Lowest half-flux eigenpairs, solved as the real antisymmetric block.
+
+    The block's spectrum is the magnetic one.  Its eigenvectors u are real,
+    and concat(u, -u) is the antisymmetric cover function of each, so the
+    nodal sets need no cover phase and no conjugation.
+    """
+    s = cfg.solver
+    cover = _half_flux_cover(grid)
+    r = lowest_eigenpairs(antisymmetric_block(cover, V=V), max(s.count, 4), tol=s.tol, seed=s.seed)
     mult = multiplicity_estimate(r.eigenvalues, s.cluster_tol)
-    return field, H, r, mult
+    return cover, r, mult
 
 
 def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None):
@@ -361,7 +368,7 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None):
     verdicts = []
 
     V = cfg.potential(grid)
-    field, H, r, mult = _half_flux_ground(cfg, V, grid)
+    _, r, mult = _half_flux_ground(cfg, V, grid)
     width = s.cluster_tol * (1.0 + abs(r.eigenvalues[0]))
     gap_above = float(r.eigenvalues[min(mult, len(r.eigenvalues) - 1)] - r.eigenvalues[mult - 1]) if mult < len(r.eigenvalues) else np.nan
     symmetric = cfg.domain.is_centrally_symmetric()
@@ -388,12 +395,9 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None):
     bump_center = (mu.bump_radius * np.cos(mu.bump_angle), mu.bump_radius * np.sin(mu.bump_angle))
     d2 = (grid.xy[:, 0] - bump_center[0]) ** 2 + (grid.xy[:, 1] - bump_center[1]) ** 2
     Vb = (V if V is not None else 0.0) + mu.bump_amplitude * np.exp(-0.5 * d2 / mu.bump_sigma**2)
-    fieldb, Hb, rb, multb = _half_flux_ground(cfg, Vb, grid)
-    cov = build_cover(as_edge_graph(grid, fieldb))
-    theta = build_theta(cov)
-    kop = ConjugationOperator.from_cover(cov)
-    rep = real_representatives(rb.eigenvectors[:, :1], kop)[:, 0]
-    nod = extract_nodal_set(np.sqrt(2.0) * lift_to_cover(rep, theta).real, cov, grid)
+    cov, rb, multb = _half_flux_ground(cfg, Vb, grid)
+    u = rb.eigenvectors[:, 0]
+    nod = extract_nodal_set(np.concatenate([u, -u]), cov, grid)
     report = topology_report(nod, grid)
     verdicts.append(
         Verdict(
@@ -511,21 +515,15 @@ def run_nodal(cfg: ExperimentConfig, out_dir=None):
     topology claims on the reports."""
     grid = build_grid(cfg.domain)
     V = cfg.potential(grid)
-    s = cfg.solver
-    field, H, r, mult = _half_flux_ground(cfg, V, grid)
-    cov = build_cover(as_edge_graph(grid, field))
-    theta = build_theta(cov)
-    kop = ConjugationOperator.from_cover(cov)
-    reps = real_representatives(r.eigenvectors[:, :mult], kop)
+    cov, r, mult = _half_flux_ground(cfg, V, grid)
 
     verdicts = []
     reports = []
     nodal_sets = []
     all_pass = True
     equiv_ok = True
-    for j in range(reps.shape[1]):
-        f = np.sqrt(2.0) * lift_to_cover(reps[:, j], theta).real
-        nod = extract_nodal_set(f, cov, grid)
+    for u in r.eigenvectors[:, :mult].T:
+        nod = extract_nodal_set(np.concatenate([u, -u]), cov, grid)
         rep = topology_report(nod, grid)
         reports.append(rep)
         nodal_sets.append(nod)
@@ -535,7 +533,7 @@ def run_nodal(cfg: ExperimentConfig, out_dir=None):
         Verdict(
             "nodal-slitting",
             bool(all_pass),
-            f"{reps.shape[1]} ground representative(s): every nodal set has connected "
+            f"{mult} ground representative(s): every nodal set has connected "
             f"complement, odd parity at interior components, k/2 <= n <= k lines, and "
             f"splits the cover into two domains",
         )

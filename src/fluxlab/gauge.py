@@ -86,21 +86,15 @@ def integer_flux_shift(grid: GridDomain, field: LinkField, l) -> LinkField:
 
 
 def plaquette_sums(field: LinkField) -> np.ndarray:
-    """Oriented phase sum around every fully active plaquette."""
+    """Oriented phase sum around every fully active plaquette.
+
+    Cells come in lexicographic window order; each sum runs anticlockwise
+    from the lower-left corner: +x bottom, +y right, -x top, -y left.
+    """
     grid = field.grid
-    i0, j0, ni, nj = grid._window
-    vid = grid._vid
-    act = vid >= 0
+    act = grid._vid >= 0
     cells = act[:-1, :-1] & act[1:, :-1] & act[:-1, 1:] & act[1:, 1:]
     ca, cb = np.nonzero(cells)
-    sums = np.empty(ca.size)
-    for t, (a, b) in enumerate(zip(ca, cb)):
-        v00, v10 = int(vid[a, b]), int(vid[a + 1, b])
-        v11, v01 = int(vid[a + 1, b + 1]), int(vid[a, b + 1])
-        sums[t] = (
-            field.phase(v00, v10)
-            + field.phase(v10, v11)
-            + field.phase(v11, v01)
-            + field.phase(v01, v00)
-        )
-    return sums
+    ex, ey = grid._edge_raster
+    th = field.theta
+    return th[ex[ca, cb]] + th[ey[ca + 1, cb]] - th[ex[ca, cb + 1]] - th[ey[ca, cb]]

@@ -211,7 +211,9 @@ class GridDomain:
     _active: np.ndarray = field(repr=False, default=None)  # (ni, nj) bool
     _excl: np.ndarray = field(repr=False, default=None)    # (ni, nj) region label
     _vid: np.ndarray = field(repr=False, default=None)     # (ni, nj) vertex id or -1
-    _edge_index: dict = field(repr=False, default=None)
+    # (2, ni, nj) id of the +x (plane 0) and +y (plane 1) edge leaving each
+    # window point, -1 where there is none
+    _edge_raster: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_vertices(self):
@@ -226,14 +228,22 @@ class GridDomain:
         return len(self.hole_refs)
 
     def edge_id(self, v, w):
-        """Edge index and direction sign for the directed edge v -> w."""
-        e = self._edge_index.get((v, w))
-        if e is not None:
-            return e, 1
-        e = self._edge_index.get((w, v))
-        if e is not None:
-            return e, -1
-        return None, 0
+        """Edge index and direction sign for the directed edge v -> w.
+
+        (None, 0) when v and w are not lattice neighbors or either id is
+        out of range.
+        """
+        n = self.n_vertices
+        if not (0 <= v < n and 0 <= w < n):
+            return None, 0
+        di, dj = self.ij[w] - self.ij[v]
+        if abs(di) + abs(dj) != 1:
+            return None, 0
+        # canonical edges point in +x or +y, from the tail's raster point;
+        # two active lattice neighbors always share an edge
+        sign = 1 if di + dj > 0 else -1
+        a, b = self.ij[v if sign > 0 else w] - self._window[:2]
+        return int(self._edge_raster[abs(dj), a, b]), sign
 
     def neighbors(self, v):
         i, j = self.ij[v]
@@ -344,7 +354,9 @@ def build_grid(spec: DomainSpec) -> GridDomain:
             np.column_stack([vid[eya, eyb], vid[eya, eyb + 1]]),
         ]
     )
-    edge_index = {(int(a), int(b)): e for e, (a, b) in enumerate(edges)}
+    edge_raster = np.full((2, ni, nj), -1, dtype=np.int64)
+    edge_raster[0, exa, exb] = np.arange(exa.size)
+    edge_raster[1, eya, eyb] = np.arange(exa.size, exa.size + eya.size)
 
     # boundary labels from the excluded region touching each active vertex
     labels = np.full(aw.size, -1, dtype=np.int16)
@@ -372,7 +384,7 @@ def build_grid(spec: DomainSpec) -> GridDomain:
         _active=active,
         _excl=excl,
         _vid=vid,
-        _edge_index=edge_index,
+        _edge_raster=edge_raster,
     )
     return grid
 

@@ -88,17 +88,10 @@ def _sign(x):
 
 def _cut_rasters(grid: GridDomain, cover: CoverGraph):
     """Cut bits of x- and y-edges placed on the index window."""
-    i0, j0, ni, nj = grid._window
-    cx = np.zeros((ni, nj), dtype=bool)
-    cy = np.zeros((ni, nj), dtype=bool)
-    tails = grid.ij[grid.edges[:, 0]]
-    heads = grid.ij[grid.edges[:, 1]]
-    horiz = heads[:, 0] > tails[:, 0]
-    ax, bx = tails[horiz, 0] - i0, tails[horiz, 1] - j0
-    cx[ax, bx] = cover.cuts[horiz]
-    ay, by = tails[~horiz, 0] - i0, tails[~horiz, 1] - j0
-    cy[ay, by] = cover.cuts[~horiz]
-    return cx, cy
+    # the appended False is what the -1 of a missing edge reads
+    cuts = np.append(cover.cuts, False)
+    ex, ey = grid._edge_raster
+    return cuts[ex], cuts[ey]
 
 
 def _cell_mask(grid: GridDomain):

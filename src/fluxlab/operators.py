@@ -175,9 +175,13 @@ def make_slit(grid: GridDomain, vertices) -> SlitPath:
     verts = [int(v) for v in vertices]
     if len(verts) < 2:
         raise BadSlit("slit needs at least two vertices")
-    for v, w in zip(verts, verts[1:]):
-        if grid.edge_id(v, w)[0] is None:
-            raise BadSlit(f"slit vertices {v} and {w} are not lattice neighbors")
+    if min(verts) < 0 or max(verts) >= grid.n_vertices:
+        raise BadSlit(f"slit vertex ids must lie in 0..{grid.n_vertices - 1}")
+    steps = np.abs(np.diff(grid.ij[verts], axis=0)).sum(axis=1)
+    off = np.nonzero(steps != 1)[0]
+    if off.size:
+        v, w = verts[off[0]], verts[off[0] + 1]
+        raise BadSlit(f"slit vertices {v} and {w} are not lattice neighbors")
     la = int(grid.boundary_labels[verts[0]])
     lb = int(grid.boundary_labels[verts[-1]])
     if la < 0 or lb < 0:

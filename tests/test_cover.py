@@ -196,14 +196,6 @@ def test_conjugation_squares_to_identity(annulus, annulus_half):
     assert np.max(np.abs(K.apply(K.apply(u)) - u)) <= 1e-12 * np.max(np.abs(u))
 
 
-def test_conjugation_from_cover_matches_graph_build(annulus, annulus_half, annulus_cover):
-    # the cover keeps the tree potential, so K needs no second spanning tree
-    cov, _ = annulus_cover
-    K = fl.ConjugationOperator.from_cover(cov)
-    assert K.graph is cov.base
-    assert np.array_equal(K.psi, fl.conjugation_operator(annulus, annulus_half).psi)
-
-
 def test_conjugation_commutes(annulus, annulus_half, annulus_half_solve):
     H, _ = annulus_half_solve
     K = fl.conjugation_operator(annulus, annulus_half)

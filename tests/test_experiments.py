@@ -10,6 +10,7 @@ from fluxlab.cli import cli_main
 from fluxlab.config import ExperimentConfig, load_config, parse_shape
 from fluxlab.errors import ConfigError, EmptyFamily
 from fluxlab.experiments import (
+    _half_flux_ground,
     run_circle_check,
     run_cover_equivalence,
     run_flux_sweep,
@@ -49,6 +50,8 @@ mode = {slit_mode}
 name = coarse
 """
 
+BASE_DOMAIN = COARSE.split("[sweep]")[0]
+
 
 @pytest.fixture(scope="module")
 def coarse_cfg(tmp_path_factory):
@@ -87,6 +90,76 @@ def test_bad_config(tmp_path):
     p.write_text("[solver]\ncount = 3\n")
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+@pytest.mark.parametrize("name", ["annulus", "annulus_offset", "two_holes"])
+def test_shipped_configs_load(tmp_path, name):
+    import configparser
+
+    path = os.path.join("configs", f"{name}.cfg")
+    assert load_config(path).domain.k >= 1
+    # the same file rewritten by configparser, as the benchmark does
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(path)
+    cp["solver"]["seed"] = "7"
+    cp["domain"]["spacing"] = "0.01"
+    copy = tmp_path / f"{name}.cfg"
+    with open(copy, "w") as f:
+        cp.write(f)
+    cfg = load_config(copy)
+    assert cfg.solver.seed == 7 and cfg.domain.spacing == 0.01
+
+
+def test_domain_file_reference_alone(tmp_path):
+    base = tmp_path / "base.cfg"
+    base.write_text(COARSE.format(epsilon="0.01", slit_mode="radial"))
+    ref = tmp_path / "ref.cfg"
+    ref.write_text("[domain]\nfile = base.cfg\n")
+    assert load_config(ref) == load_config(base)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # settings next to a file reference used to be dropped silently
+        "[domain]\nfile = base.cfg\n\n[solver]\ncount = 5\nseed = 7\n",
+        "[domain]\nfile = base.cfg\nspacing = 0.1\n",
+        "[domain]\nfile = base.cfg\n\n[experiment]\nname = other\n",
+        # a reference that refers on, here back to itself, used to recurse
+        # until RecursionError
+        "[domain]\nfile = c.cfg\n",
+        # unknown keys and sections used to be ignored
+        BASE_DOMAIN + "[sweep]\nstpo = 0.5\n",
+        BASE_DOMAIN + "[slitt]\ncount = 8\n",
+        BASE_DOMAIN + "[solver]\nseeds = 7\n",
+        BASE_DOMAIN.replace("spacing", "spaceing"),
+    ],
+    ids=[
+        "file-beside-solver",
+        "file-beside-domain-key",
+        "file-beside-experiment",
+        "file-refers-to-itself",
+        "sweep-key-typo",
+        "section-typo",
+        "solver-key-typo",
+        "domain-key-typo",
+    ],
+)
+def test_cli_config_typo_exits_2(tmp_path, text):
+    (tmp_path / "base.cfg").write_text(COARSE.format(epsilon="0.01", slit_mode="radial"))
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(cfgp)
+    assert cli_main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
+
+
+def test_hole_keys_are_a_prefix(tmp_path):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(
+        "[domain]\nouter = rect 0 0 3 1\nhole_left = disk 1 0.5 0.2\nhole_right = disk 2 0.5 0.2\n"
+    )
+    assert load_config(cfgp).domain.k == 2
 
 
 def test_potentials(coarse_cfg):
@@ -240,8 +313,7 @@ def test_cli_missing_config(tmp_path):
 )
 def test_cli_bad_value_exits_2(tmp_path, section, line):
     cfgp = tmp_path / "c.cfg"
-    domain = COARSE.split("[sweep]")[0]
-    cfgp.write_text(f"{domain}[{section}]\n{line}\n")
+    cfgp.write_text(f"{BASE_DOMAIN}[{section}]\n{line}\n")
     with pytest.raises(ConfigError):
         load_config(cfgp)
     assert cli_main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
@@ -267,3 +339,54 @@ def test_cli_verdict_failure(tmp_path):
     code = cli_main(["circle", "--config", str(cfgp), "--out", str(tmp_path / "r")])
     assert code == 1
     assert "FAIL circle-degeneracy-splitting" in (tmp_path / "r" / "verdicts.txt").read_text()
+
+
+def _k_path(cfg, grid):
+    """The complex half-flux route: magnetic solve, cover phase, K-fixed
+    representatives and their real lifts sqrt(2) * Re(L rep), one column each."""
+    s = cfg.solver
+    field = fl.aharonov_bohm_potential(grid, [0.5] * grid.k)
+    r = fl.lowest_eigenpairs(fl.assemble_magnetic(grid, field), max(s.count, 4), tol=s.tol, seed=s.seed)
+    mult = fl.multiplicity_estimate(r.eigenvalues, s.cluster_tol)
+    cov = fl.build_cover(fl.as_edge_graph(grid, field))
+    theta = fl.build_theta(cov)
+    reps = fl.real_representatives(r.eigenvectors[:, :mult], fl.conjugation_operator(grid, field))
+    F = np.column_stack([np.sqrt(2.0) * fl.lift_to_cover(rep, theta).real for rep in reps.T])
+    return r, mult, cov, F
+
+
+def _real_path(cfg, grid):
+    cov, r, mult = _half_flux_ground(cfg, None, grid)
+    U = r.eigenvectors[:, :mult]
+    return r, mult, cov, np.concatenate([U, -U])
+
+
+def test_real_half_flux_simple_ground_matches_k_path(offset_annulus):
+    grid = offset_annulus
+    cfg = ExperimentConfig(domain=grid.spec)
+    r_old, mult_old, cov_old, F_old = _k_path(cfg, grid)
+    r, mult, cov, F = _real_path(cfg, grid)
+    assert F.dtype == np.float64
+    assert mult == mult_old == 1
+    assert abs(r.eigenvalues[0] - r_old.eigenvalues[0]) <= 1e-12 * r_old.eigenvalues[0]
+    f, f_old = F[:, 0], F_old[:, 0]
+    f_old = np.sign(f @ f_old) * f_old
+    assert np.max(np.abs(f - f_old)) <= 1e-12
+    lines = [
+        fl.topology_report(fl.extract_nodal_set(g, c, grid), grid).to_json_line()
+        for g, c in ((f, cov), (f_old, cov_old))
+    ]
+    assert lines[0] == lines[1]
+
+
+def test_real_half_flux_pair_spans_k_path_plane(annulus):
+    grid = annulus
+    cfg = ExperimentConfig(domain=grid.spec)
+    r_old, mult_old, _, F_old = _k_path(cfg, grid)
+    r, mult, _, F = _real_path(cfg, grid)
+    assert mult == mult_old == 2
+    assert abs(r.eigenvalues[0] - r_old.eigenvalues[0]) <= 1e-12 * r_old.eigenvalues[0]
+    # both column pairs are orthogonal with norm sqrt(2): equal planes give
+    # singular values 1
+    sv = np.linalg.svd(F_old.T @ F / 2.0, compute_uv=False)
+    assert np.max(np.abs(sv - 1.0)) <= 1e-10

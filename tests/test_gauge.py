@@ -31,6 +31,35 @@ def test_plaquette_flatness(annulus, flux):
     assert np.max(np.abs(plaquette_sums(f))) <= 1e-12
 
 
+def plaquette_oracle(field):
+    """The per-cell loop over field.phase that plaquette_sums replaced."""
+    vid = field.grid._vid
+    act = vid >= 0
+    cells = act[:-1, :-1] & act[1:, :-1] & act[:-1, 1:] & act[1:, 1:]
+    ca, cb = np.nonzero(cells)
+    sums = np.empty(ca.size)
+    for t, (a, b) in enumerate(zip(ca, cb)):
+        v00, v10 = int(vid[a, b]), int(vid[a + 1, b])
+        v11, v01 = int(vid[a + 1, b + 1]), int(vid[a, b + 1])
+        sums[t] = (
+            field.phase(v00, v10)
+            + field.phase(v10, v11)
+            + field.phase(v11, v01)
+            + field.phase(v01, v00)
+        )
+    return sums
+
+
+@pytest.mark.parametrize("fixture, fluxes", [("annulus", [0.5]), ("annulus", [0.37]), ("two_holes", [0.5, -0.2])])
+def test_plaquette_sums_bit_identical_to_loop(request, fixture, fluxes):
+    grid = request.getfixturevalue(fixture)
+    f = fl.aharonov_bohm_potential(grid, fluxes)
+    chi = np.random.default_rng(3).uniform(-10, 10, grid.n_vertices)
+    for field in (f, fl.gauge_transform(f, chi)):
+        got, want = plaquette_sums(field), plaquette_oracle(field)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_contractible_loop_zero_circulation(annulus):
     f = fl.aharonov_bohm_potential(annulus, [0.7])
     # the single plaquette whose lower-left corner sits at (0.6, 0.1)

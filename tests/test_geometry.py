@@ -102,6 +102,25 @@ def test_hole_loop_annulus(annulus):
         assert annulus.edge_id(v, w)[0] is not None
 
 
+@pytest.mark.parametrize("fixture", ["annulus", "two_holes"])
+def test_edge_id_matches_dict_oracle(request, fixture):
+    g = request.getfixturevalue(fixture)
+    # the (tail, head) -> edge dict the raster index replaced
+    oracle = {(int(a), int(b)): e for e, (a, b) in enumerate(g.edges)}
+    for (a, b), e in oracle.items():
+        assert g.edge_id(a, b) == (e, 1)
+        assert g.edge_id(b, a) == (e, -1)
+        assert g.edge_id(np.int64(a), np.int64(b)) == (e, 1)
+    n = g.n_vertices
+    v = int(g.edges[0, 0])
+    i, j = g.ij[v]
+    diag = int(g._vid[i + 1 - g._window[0], j + 1 - g._window[1]])
+    assert diag >= 0 and (v, diag) not in oracle and (diag, v) not in oracle
+    far = int(np.argmax(np.abs(g.ij - g.ij[v]).sum(axis=1)))
+    for a, b in ((v, v), (v, diag), (diag, v), (v, far), (v, n), (n, v), (n + 5, v), (-1, v), (v, -1)):
+        assert g.edge_id(a, b) == (None, 0), (a, b)
+
+
 def test_hole_loop_two_holes_winding_oracle(two_holes):
     g = two_holes
     for i, ref in ((1, (1.0, 0.5)), (2, (2.0, 0.5))):

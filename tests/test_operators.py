@@ -189,6 +189,26 @@ def test_bad_slit_interior_endpoint(annulus):
         fl.make_slit(annulus, [v, w])
 
 
+def test_bad_slit_steps(annulus):
+    verts = list(fl.radial_slit(annulus, 1, 0.3).vertices)
+    assert fl.make_slit(annulus, verts).vertices == tuple(verts)
+    gap = verts[:2] + verts[3:]
+    repeat = verts[:2] + verts[1:]
+    diagonal = []
+    for v in verts:
+        i, j = annulus.ij[v]
+        d = int(annulus._vid[i + 1 - annulus._window[0], j + 1 - annulus._window[1]])
+        if d >= 0:
+            diagonal = verts[: verts.index(v) + 1] + [d]
+            break
+    for bad, pair in ((gap, (verts[1], verts[3])), (repeat, (verts[1], verts[1])), (diagonal, diagonal[-2:])):
+        with pytest.raises(BadSlit, match=f"vertices {pair[0]} and {pair[1]} are not lattice neighbors"):
+            fl.make_slit(annulus, bad)
+    for bad in (verts + [annulus.n_vertices], [-1] + verts):
+        with pytest.raises(BadSlit):
+            fl.make_slit(annulus, bad)
+
+
 def test_shortest_slit(annulus):
     outer = annulus.boundary_vertices(0)
     slit = fl.shortest_slit(annulus, 1, int(outer[len(outer) // 2]))
