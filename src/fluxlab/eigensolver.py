@@ -10,10 +10,17 @@ computed so that clustered and exactly degenerate ground pairs are never cut
 in half.  A Rayleigh-Ritz step against A itself then extracts orthonormal
 eigenpairs and their residuals.  Everything is deterministic for a fixed
 seed.
+
+Each solve runs on one BLAS thread: its dense work (ARPACK's basis updates,
+the Rayleigh-Ritz product) is too small for a second thread to pay for its
+synchronisation, and the experiments run independent solves in parallel
+processes instead.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,57 @@ class EigenResult:
     eigenvalues: np.ndarray   # (m,) ascending
     eigenvectors: np.ndarray  # (n, m) orthonormal columns
     residuals: np.ndarray     # (m,) ||A u - lambda u||_2
+
+
+# (package, library glob, symbol suffix) of the OpenBLAS builds that the
+# numpy and scipy wheels bundle; numpy's has the 64-bit integer interface
+_OPENBLAS_LIBS = (
+    ("numpy", "libscipy_openblas64_*.so", "64_"),
+    ("scipy", "libscipy_openblas*.so", ""),
+)
+_openblas_threads = None  # [(get, set)] once looked up
+
+
+def _openblas_thread_controls():
+    """The (get, set) thread-count functions of every bundled OpenBLAS found."""
+    global _openblas_threads
+    if _openblas_threads is None:
+        import ctypes
+        import glob
+        import importlib
+
+        _openblas_threads = []
+        for package, pattern, suffix in _OPENBLAS_LIBS:
+            site = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+            for path in sorted(glob.glob(os.path.join(site, package + ".libs", pattern))):
+                try:
+                    lib = ctypes.CDLL(path)
+                    get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                    set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+                except (OSError, AttributeError):
+                    continue
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                _openblas_threads.append((get, set_))
+    return _openblas_threads
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the old counts.
+
+    Does nothing when the user has set OPENBLAS_NUM_THREADS or when no
+    bundled OpenBLAS exposes the thread-count symbols.
+    """
+    controls = [] if "OPENBLAS_NUM_THREADS" in os.environ else _openblas_thread_controls()
+    old = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, old):
+            set_(n)
 
 
 def _as_matrix(H):
@@ -73,6 +131,13 @@ def lowest_eigenpairs(H, m: int, tol: float = 1e-10, seed: int = DEFAULT_SEED) -
     if tol <= 0:
         raise ValueError("tol must be positive")
 
+    with _one_blas_thread():
+        return _solve(A, m, tol, seed)
+
+
+def _solve(A, m, tol, seed) -> EigenResult:
+    """Shift-invert ARPACK plus Rayleigh-Ritz; the body of lowest_eigenpairs."""
+    n = A.shape[0]
     lower, upper = gershgorin_bounds(A)
     norm_a = max(abs(lower), abs(upper), 1e-300)
     k = m + 2

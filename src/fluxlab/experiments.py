@@ -9,6 +9,7 @@ reads as a list of verified statements.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass
 
@@ -64,8 +65,55 @@ def write_verdicts(path, verdicts, append=False):
             f.write(v.line() + "\n")
 
 
+# (job, items) of the _fan_out call that forked this worker; None elsewhere
+_worker_job = None
+
+
+def _start_worker(job, items):
+    global _worker_job
+    _worker_job = (job, items)
+
+
+def _worker_call(i):
+    job, items = _worker_job
+    return job(items[i])
+
+
+def _fan_out(job, items):
+    """[job(x) for x in items], spread over one forked worker per usable CPU.
+
+    Runs in-process when one CPU or one item is available, where fork is
+    missing, and inside a worker.  Forked workers inherit the job and the
+    items, so only indices and results are pickled.  Results come back in
+    item order; the first item whose job raised, in item order, raises here,
+    and a worker that dies raises BrokenProcessPool.
+    """
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items))
+    if workers > 1 and _worker_job is None:
+        # imported here, as cover imports csgraph: no cost to runs that never fork
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a daemonic process (a multiprocessing.Pool worker) may not fork
+        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker,
+                initargs=(job, items),
+            ) as pool:
+                return list(pool.map(_worker_call, range(len(items))))
+    return [job(x) for x in items]
+
+
 class _SweepSolver:
-    """Caches flux -> (eigenvalues, max residual) for one grid and potential."""
+    """Caches flux -> (eigenvalues, max residual) for one grid and potential.
+
+    A flux whose solve raised NoConvergence caches the exception, and every
+    solve of that flux raises it.
+    """
 
     def __init__(self, cfg: ExperimentConfig, grid=None):
         self.cfg = cfg
@@ -73,18 +121,36 @@ class _SweepSolver:
         self.V = cfg.potential(self.grid)
         self.cache = {}
 
+    def _compute(self, key):
+        field = aharonov_bohm_potential(self.grid, [key] * self.grid.k)
+        H = assemble_magnetic(self.grid, field, V=self.V)
+        s = self.cfg.solver
+        try:
+            return lowest_eigenpairs(H, s.count, tol=s.tol, seed=s.seed)
+        except NoConvergence as exc:
+            return exc
+
+    def prefetch(self, ts):
+        """Solve every flux of ts not cached yet, as one _fan_out batch."""
+        keys = [k for k in dict.fromkeys(round(float(t), 12) for t in ts) if k not in self.cache]
+        self.cache.update(zip(keys, _fan_out(self._compute, keys)))
+
     def solve(self, t: float):
-        key = round(float(t), 12)
-        if key not in self.cache:
-            field = aharonov_bohm_potential(self.grid, [key] * self.grid.k)
-            H = assemble_magnetic(self.grid, field, V=self.V)
-            s = self.cfg.solver
-            r = lowest_eigenpairs(H, s.count, tol=s.tol, seed=s.seed)
-            self.cache[key] = r
-        return self.cache[key]
+        self.prefetch([t])
+        r = self.cache[round(float(t), 12)]
+        if isinstance(r, NoConvergence):
+            raise r
+        return r
 
     def lam1(self, t: float) -> float:
         return float(self.solve(t).eigenvalues[0])
+
+
+def _sweep_fluxes(ts, k):
+    """Every flux that run_flux_sweep's rows and verdicts read."""
+    offsets = (0.1, 0.2, 0.3, 0.4)
+    extra = [t + 1.0 for t in offsets] + [0.5 + t for t in offsets] + [0.5 - t for t in offsets] + [0.0]
+    return list(ts) + extra + ([0.5, 0.45] if k == 1 else [])
 
 
 def run_flux_sweep(cfg: ExperimentConfig, out_dir=None, solver=None):
@@ -93,6 +159,7 @@ def run_flux_sweep(cfg: ExperimentConfig, out_dir=None, solver=None):
     sw = solver or _SweepSolver(cfg)
     s = cfg.solver
     ts = cfg.sweep_values()
+    sw.prefetch(_sweep_fluxes(ts, sw.grid.k))
     rows = []
     for t in ts:
         try:
@@ -245,28 +312,39 @@ def run_circle_check(cfg: ExperimentConfig, out_dir=None):
 
 
 def _slit_family(cfg: ExperimentConfig, grid):
+    """One zero-argument callable per slit of the family, which makes that slit."""
     m = cfg.slit.count
     if m <= 0:
         raise EmptyFamily("slit family is empty")
+    hole = cfg.slit.hole
     if cfg.slit.mode == "radial":
-        return [radial_slit(grid, cfg.slit.hole, 2.0 * np.pi * j / m) for j in range(m)]
+        return [functools.partial(radial_slit, grid, hole, 2.0 * np.pi * j / m) for j in range(m)]
     outer = grid.boundary_vertices(0)
     picks = outer[np.linspace(0, outer.size - 1, m).astype(int)]
-    return [shortest_slit(grid, cfg.slit.hole, int(v)) for v in picks]
+    return [functools.partial(shortest_slit, grid, hole, int(v)) for v in picks]
 
 
 def _slit_minimum(cfg: ExperimentConfig, domain: DomainSpec):
+    """Half-flux lambda1 and one (index, slit length, lambda1) row per slit.
+
+    The half-flux solve and every slit (path and solve) are one _fan_out
+    batch.
+    """
     grid = build_grid(domain)
     V = cfg.potential(grid)
     s = cfg.solver
-    H = antisymmetric_block(_half_flux_cover(grid), V=V)
-    lam_mag = float(lowest_eigenpairs(H, 1, tol=s.tol, seed=s.seed).eigenvalues[0])
     zf = zero_field(grid)
-    rows = []
-    for j, slit in enumerate(_slit_family(cfg, grid)):
-        H = assemble_slit(grid, zf, V=V, slit=slit)
-        lam = float(lowest_eigenpairs(H, 1, tol=s.tol, seed=s.seed).eigenvalues[0])
-        rows.append((j, len(slit.vertices), lam))
+
+    def solve(make_slit):
+        if make_slit is None:
+            H, size = antisymmetric_block(_half_flux_cover(grid), V=V), None
+        else:
+            slit = make_slit()
+            H, size = assemble_slit(grid, zf, V=V, slit=slit), len(slit.vertices)
+        return size, float(lowest_eigenpairs(H, 1, tol=s.tol, seed=s.seed).eigenvalues[0])
+
+    (_, lam_mag), *solved = _fan_out(solve, [None] + _slit_family(cfg, grid))
+    rows = [(j, size, lam) for j, (size, lam) in enumerate(solved)]
     return grid, lam_mag, rows
 
 

@@ -80,9 +80,24 @@ class SlitReport:
         return json.dumps(d, sort_keys=True)
 
 
+# lattice values within this fraction of max|f| are zero up to round-off
+# (a nodal line along a lattice line holds values of a few eps there)
+_ZERO_BAND = 1e3 * np.finfo(float).eps
+
+
+def _zero_band(f):
+    """f with its round-off zeros (|f| <= _ZERO_BAND * max|f|) set to 0.0.
+
+    Every zero then lies on the positive side of `_sign`, whatever sign bit
+    the solver left on it, and a crossing at such a vertex sits exactly on
+    the vertex, so a round-off change moves no polyline.
+    """
+    return np.where(np.abs(f) <= _ZERO_BAND * np.max(np.abs(f)), 0.0, f)
+
+
 def _sign(x):
-    # exact zeros are nudged to the positive side; measure-zero, deterministic,
-    # and identical for both lifts since -0.0 == 0.0; elementwise on arrays
+    # zeros are nudged to the positive side; identical for both lifts since
+    # -0.0 == 0.0; elementwise on arrays
     return (x > 0.0) | (x == 0.0)
 
 
@@ -106,6 +121,7 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
     and an actual function on the cover of this grid.  Contour chains ending
     near the staircase boundary are snapped to the nearest labeled boundary
     vertex, and the cells along the snap are added to the crossed-cell mask.
+    Values that are zero up to round-off count as zero (`_zero_band`).
     """
     f = np.asarray(f, dtype=float).reshape(-1)
     n = grid.n_vertices
@@ -117,6 +133,7 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
     asym = np.max(np.abs(f + f[cover.deck(np.arange(2 * n))]))
     if asym > 1e-8 * scale:
         raise PreconditionViolated(f"function is not antisymmetric (defect {asym:.2e})")
+    f = _zero_band(f)
 
     i0, j0, ni, nj = grid._window
     vid = grid._vid
@@ -371,7 +388,7 @@ def circle_zero_points(f, cover: CoverGraph) -> np.ndarray:
     Returns sorted angles in [0, 2*pi); antipodal cover zeros project to one
     point each.
     """
-    f = np.asarray(f, dtype=float).reshape(-1)
+    f = _zero_band(np.asarray(f, dtype=float).reshape(-1))
     n = cover.n_base
     h = cover.base.spacing
     base_tail = cover.project(cover.cover_edges()[:, 0])

@@ -260,33 +260,28 @@ def radial_slit(grid: GridDomain, hole: int, angle: float) -> SlitPath:
 
 def shortest_slit(grid: GridDomain, hole: int, outer_vertex: int) -> SlitPath:
     """Shortest lattice path from a given outer-boundary vertex to the hole's
-    boundary component, by breadth-first search with index tie-breaking."""
+    boundary component, by breadth-first search with index tie-breaking:
+    neighbors are visited in ascending vertex order, and the path ends at
+    the first vertex of the hole's boundary that the search reaches."""
     if not 1 <= hole <= grid.k:
         raise BadSlit(f"hole index {hole} outside 1..{grid.k}")
     if grid.boundary_labels[outer_vertex] != 0:
         raise BadSlit("starting vertex must lie on the outer boundary")
-    from collections import deque
+    from scipy.sparse.csgraph import breadth_first_order  # see cover.spanning_tree
 
-    prev = np.full(grid.n_vertices, -2, dtype=np.int64)
-    prev[outer_vertex] = -1
-    q = deque([int(outer_vertex)])
-    goal = -1
-    while q:
-        v = q.popleft()
-        if grid.boundary_labels[v] == hole:
-            goal = v
-            break
-        for w in grid.neighbors(v):
-            if prev[w] == -2:
-                prev[w] = v
-                q.append(w)
-    if goal < 0:
+    tails, heads = grid.edges[:, 0], grid.edges[:, 1]
+    n = grid.n_vertices
+    adj = sparse.csr_matrix(
+        (np.ones(2 * tails.size, dtype=np.int8), (np.concatenate([tails, heads]), np.concatenate([heads, tails]))),
+        shape=(n, n),
+    )
+    order, pred = breadth_first_order(adj, int(outer_vertex), directed=True, return_predecessors=True)
+    reached = order[grid.boundary_labels[order] == hole]
+    if reached.size == 0:
         raise BadSlit(f"no lattice path reaches hole {hole}")
-    path = []
-    v = goal
-    while v != -1:
-        path.append(v)
-        v = int(prev[v])
+    path = [int(reached[0])]
+    while pred[path[-1]] >= 0:
+        path.append(int(pred[path[-1]]))
     return make_slit(grid, path[::-1])
 
 

@@ -15,6 +15,7 @@ import fluxlab as fl
 from fluxlab.config import load_config
 from fluxlab.experiments import (
     _SweepSolver,
+    _sweep_fluxes,
     circle_exact,
     run_cover_equivalence,
     run_nodal,
@@ -46,7 +47,9 @@ def two_holes_cfg():
 
 @pytest.fixture(scope="module")
 def sweep(annulus_cfg):
-    return _SweepSolver(annulus_cfg)
+    sw = _SweepSolver(annulus_cfg)
+    sw.prefetch(_sweep_fluxes(annulus_cfg.sweep_values(), sw.grid.k))
+    return sw
 
 
 @pytest.fixture(scope="module")

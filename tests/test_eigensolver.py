@@ -1,10 +1,16 @@
 """Eigensolver against the dense oracle, and multiplicity clustering."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 import fluxlab as fl
+from fluxlab import eigensolver
 from fluxlab.eigensolver import multiplicity_estimate
 from fluxlab.errors import NoConvergence
 
@@ -127,6 +133,101 @@ def test_arpack_failure_becomes_no_convergence(monkeypatch):
         fl.lowest_eigenpairs(H, 3, tol=1e-10)
     best = exc.value.best_result
     assert best.eigenvalues.shape == (2,) and np.all(best.residuals < 1e-10)
+
+
+def test_no_convergence_pickles_with_best_result(annulus):
+    # a forked worker sends the exception back to the parent by pickle
+    f = fl.aharonov_bohm_potential(annulus, [0.3])
+    with pytest.raises(NoConvergence) as exc:
+        fl.lowest_eigenpairs(fl.assemble_magnetic(annulus, f), 3, tol=1e-300)
+    back = pickle.loads(pickle.dumps(exc.value))
+    assert type(back) is NoConvergence and str(back) == str(exc.value)
+    for field in ("eigenvalues", "eigenvectors", "residuals"):
+        assert np.array_equal(getattr(back.best_result, field), getattr(exc.value.best_result, field))
+
+
+class FakeThreads:
+    """Stands in for one OpenBLAS library's thread-count functions."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+def solve_recording_threads(monkeypatch, libs):
+    monkeypatch.setattr(eigensolver, "_openblas_thread_controls", lambda: [(lib.get, lib.set) for lib in libs])
+    during = []
+    real_eigsh = eigensolver.eigsh
+
+    def eigsh(*args, **kwargs):
+        during.append([lib.count for lib in libs])
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "eigsh", eigsh)
+    fl.lowest_eigenpairs(fl.assemble_circle(64, 0.25), 3)
+    return during
+
+
+def test_blas_pinned_to_one_thread_and_restored(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    libs = [FakeThreads(4), FakeThreads(2)]
+    assert solve_recording_threads(monkeypatch, libs) == [[1, 1]]
+    assert [lib.count for lib in libs] == [4, 2]
+    assert [lib.sets for lib in libs] == [[1, 4], [1, 2]]
+
+
+def test_blas_pin_off_when_user_sets_threads(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    libs = [FakeThreads(3)]
+    assert solve_recording_threads(monkeypatch, libs) == [[3]]
+    assert libs[0].sets == []
+
+
+def test_blas_thread_count_restored_on_bundled_openblas(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    controls = eigensolver._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS with thread-count symbols")
+    before = [get() for get, _ in controls]
+    during = []
+    real_eigsh = eigensolver.eigsh
+
+    def eigsh(*args, **kwargs):
+        during.append([get() for get, _ in controls])
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "eigsh", eigsh)
+    fl.lowest_eigenpairs(fl.assemble_circle(64, 0.25), 3)
+    assert during == [[1] * len(controls)]
+    assert [get() for get, _ in controls] == before
+
+
+PINNED_VS_UNPINNED = """
+import fluxlab as fl
+spec = fl.DomainSpec(outer=fl.Disk(0, 0, 1.0), holes=(fl.Disk(0, 0, 0.3),), spacing=0.02)
+grid = fl.build_grid(spec)
+H = fl.assemble_magnetic(grid, fl.aharonov_bohm_potential(grid, [0.3]))
+r = fl.lowest_eigenpairs(H, 3, tol=1e-10)
+print(r.eigenvalues.tobytes().hex(), r.residuals.tobytes().hex(), r.eigenvectors.tobytes().hex()[:4096])
+"""
+
+
+def test_unpinned_process_matches_pinned():
+    # without OPENBLAS_NUM_THREADS the solve pins itself, so it returns the
+    # bits a process pinned by the environment returns
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fl.__file__)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    run = lambda e: subprocess.run(
+        [sys.executable, "-c", PINNED_VS_UNPINNED], env=e, capture_output=True, text=True, check=True
+    ).stdout
+    assert run(env) == run(dict(env, OPENBLAS_NUM_THREADS="1"))
 
 
 def test_multiplicity_estimate_examples():

@@ -1,15 +1,20 @@
-"""Config parsing, experiment runners, CSV determinism and CLI exit codes."""
+"""Config parsing, experiment runners, CSV determinism, the worker pool and
+CLI exit codes."""
 
+import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import fluxlab as fl
 from fluxlab.cli import cli_main
 from fluxlab.config import ExperimentConfig, load_config, parse_shape
-from fluxlab.errors import ConfigError, EmptyFamily
+from fluxlab.errors import ConfigError, EmptyFamily, NoConvergence
 from fluxlab.experiments import (
+    _fan_out,
     _half_flux_ground,
     run_circle_check,
     run_cover_equivalence,
@@ -206,6 +211,119 @@ def test_csv_deterministic(coarse_cfg, tmp_path):
     run_flux_sweep(coarse_cfg, out_dir=a)
     run_flux_sweep(coarse_cfg, out_dir=b)
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def square_and_pid(x):
+    if x < 0:
+        raise ValueError(f"item {x}")
+    return x * x, os.getpid()
+
+
+def test_fan_out_forks_one_worker_per_cpu(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    out = _fan_out(square_and_pid, range(8))
+    assert multiprocessing.active_children() == []
+    assert [sq for sq, _ in out] == [x * x for x in range(8)]
+    pids = {pid for _, pid in out}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    # inside a worker the helper runs in-process
+    nested = _fan_out(lambda x: (os.getpid(), _fan_out(square_and_pid, range(3))), range(2))
+    assert multiprocessing.active_children() == []
+    for pid, inner in nested:
+        assert {p for _, p in inner} == {pid}
+    # the first failing item in item order raises in the parent
+    with pytest.raises(ValueError, match="item -1"):
+        _fan_out(square_and_pid, [3, -1, 2, -2])
+    assert multiprocessing.active_children() == []
+    # a worker that dies raises, and the other is stopped
+    with pytest.raises(BrokenProcessPool):
+        _fan_out(lambda x: os._exit(1) if x == 1 else x, range(4))
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_in_process_on_one_cpu(monkeypatch):
+    usable_cpus(monkeypatch, 1)
+    assert _fan_out(square_and_pid, range(4)) == [(x * x, os.getpid()) for x in range(4)]
+
+
+def test_pooled_runs_match_one_cpu(coarse_cfg, tmp_path, monkeypatch):
+    outputs = []
+    for n in (2, 1):
+        usable_cpus(monkeypatch, n)
+        out = tmp_path / f"cpus{n}"
+        out.mkdir()
+        sweep_rows, sweep_verdicts = run_flux_sweep(coarse_cfg, out_dir=out)
+        assert multiprocessing.active_children() == []
+        slit_rows, slit_verdicts = run_slit_infimum(coarse_cfg, out_dir=out, refine=True)
+        assert multiprocessing.active_children() == []
+        lines = [v.line() for v in sweep_verdicts + slit_verdicts]
+        outputs.append((sweep_rows, slit_rows, lines, (out / "sweep.csv").read_bytes(), (out / "slit.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+TWO_HOLES_COARSE = """
+[domain]
+outer = rect 0.0 0.0 3.0 1.0
+hole1 = disk 1.0 0.5 0.2
+hole2 = disk 2.0 0.5 0.2
+spacing = 0.05
+
+[sweep]
+start = 0.0
+stop = 1.0
+step = 0.25
+"""
+
+
+def stall_eigsh_at(monkeypatch, grid, flux):
+    """Make ARPACK report no convergence on the sweep matrix of one flux."""
+    target = fl.assemble_magnetic(grid, fl.aharonov_bohm_potential(grid, [flux] * grid.k)).matrix
+    real_eigsh = fl.eigensolver.eigsh
+
+    def eigsh(A, k, **kwargs):
+        w, V = real_eigsh(A, k, **kwargs)
+        if A.shape == target.shape and abs(A - target).max() == 0:
+            raise ArpackNoConvergence("forced stall", w, V)
+        return w, V
+
+    monkeypatch.setattr(fl.eigensolver, "eigsh", eigsh)
+
+
+@pytest.mark.parametrize("holes, flux", [(2, 1.0), (1, 0.25)])
+def test_sweep_failure_through_the_pool(holes, flux, coarse_cfg, tmp_path, monkeypatch):
+    # two holes: flux 1 is a sweep row that no verdict reads, so the sweep
+    # passes with a -1 row; one hole: the strict-minimum verdict reads flux
+    # 0.25, so the sweep raises
+    if holes == 2:
+        path = tmp_path / "two.cfg"
+        path.write_text(TWO_HOLES_COARSE)
+        cfg = load_config(path)
+    else:
+        cfg = coarse_cfg
+    stall_eigsh_at(monkeypatch, fl.build_grid(cfg.domain), flux)  # before the fork
+    outcomes = []
+    for n in (2, 1):
+        usable_cpus(monkeypatch, n)
+        out = tmp_path / f"cpus{n}"
+        out.mkdir()
+        try:
+            rows, verdicts = run_flux_sweep(cfg, out_dir=out)
+        except NoConvergence as exc:
+            outcomes.append(("raised", str(exc), exc.best_result.eigenvalues.tobytes()))
+        else:
+            outcomes.append((rows, [v.line() for v in verdicts], (out / "sweep.csv").read_bytes()))
+        assert multiprocessing.active_children() == []
+    assert outcomes[0] == outcomes[1]
+    if holes == 2:
+        rows = outcomes[0][0]
+        assert [r[5] for r in rows if r[0] == flux] == [-1]
+        assert all(r[5] >= 1 for r in rows if r[0] != flux)
+    else:
+        assert outcomes[0][0] == "raised"
 
 
 def test_circle_check(coarse_cfg, tmp_path):

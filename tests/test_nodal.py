@@ -65,6 +65,31 @@ def test_two_hole_slitting(two_holes):
         assert rep.passes_slitting == (rep.cover_domain_count == 2)
 
 
+def test_round_off_zeros_do_not_move_the_nodal_set():
+    # at spacing 0.05 the line y = 0.5 between the two holes is a lattice
+    # line, and the odd ground state is zero there up to a few eps * max|u|
+    spec = fl.DomainSpec(
+        outer=fl.Rect(0, 0, 3.0, 1.0),
+        holes=(fl.Disk(1.0, 0.5, 0.2), fl.Disk(2.0, 0.5, 0.2)),
+        spacing=0.05,
+    )
+    grid = fl.build_grid(spec)
+    cov = fl.build_cover(fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5, 0.5])))
+    u = fl.lowest_eigenpairs(fl.antisymmetric_block(cov), 1, tol=1e-10).eigenvectors[:, 0]
+    scale = np.max(np.abs(u))
+    near = np.abs(u) <= 1e-12 * scale
+    assert np.count_nonzero(near) >= 10
+    assert np.all(np.abs(grid.xy[near, 1] - 0.5) < 1e-12)
+    alternating = np.where(np.arange(u.size) % 2 == 0, 1.0, -1.0)
+    base = fl.extract_nodal_set(np.concatenate([u, -u]), cov, grid)
+    for delta in (1e-16, -1e-16, 1e-16 * alternating):
+        v = u + delta * scale * near
+        nod = fl.extract_nodal_set(np.concatenate([v, -v]), cov, grid)
+        assert nod.crossed_cells == base.crossed_cells
+        assert len(nod.polylines) == len(base.polylines)
+        assert all(np.array_equal(p, q) for p, q in zip(nod.polylines, base.polylines))
+
+
 def test_projection_consistency(annulus, annulus_half, annulus_cover):
     _, reps, cov, th = ground_representatives(annulus, annulus_half)
     f = np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real

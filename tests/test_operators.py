@@ -1,9 +1,12 @@
 """Operator assembly: stencils, boundary conditions, covariances, circle."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 import fluxlab as fl
+from fluxlab.config import load_config
 from fluxlab.errors import BadSlit, InconsistentSizes, TooFewPoints
 from fluxlab.eigensolver import gershgorin_bounds
 
@@ -215,3 +218,44 @@ def test_shortest_slit(annulus):
     assert slit.start_label == 0 and slit.end_label == 1
     H = fl.assemble_slit(annulus, fl.zero_field(annulus), slit=slit)
     assert fl.lowest_eigenpairs(H, 1, tol=1e-10).eigenvalues[0] > 0.1
+
+
+def deque_bfs_slit(grid, hole, outer_vertex, sort_neighbors=False):
+    """The former Python BFS of shortest_slit, kept as the oracle; it visits
+    neighbors in +x, -x, +y, -y order, or ascending with sort_neighbors."""
+    prev = np.full(grid.n_vertices, -2, dtype=np.int64)
+    prev[outer_vertex] = -1
+    q = deque([int(outer_vertex)])
+    goal = -1
+    while q:
+        v = q.popleft()
+        if grid.boundary_labels[v] == hole:
+            goal = v
+            break
+        nbrs = grid.neighbors(v)
+        for w in sorted(nbrs) if sort_neighbors else nbrs:
+            if prev[w] == -2:
+                prev[w] = v
+                q.append(w)
+    path = []
+    v = goal
+    while v != -1:
+        path.append(int(v))
+        v = int(prev[v])
+    return path[::-1]
+
+
+@pytest.mark.parametrize("name", ["annulus", "annulus_offset"])
+def test_shortest_slit_matches_deque_bfs(name):
+    # every outer vertex the slit family picks in shortest mode
+    cfg = load_config(f"configs/{name}.cfg")
+    grid = fl.build_grid(cfg.domain)
+    outer = grid.boundary_vertices(0)
+    picks = outer[np.linspace(0, outer.size - 1, cfg.slit.count).astype(int)]
+    for v in picks:
+        path = list(fl.shortest_slit(grid, 1, int(v)).vertices)
+        # ascending neighbor order is the new tie-break: the same path
+        assert path == deque_bfs_slit(grid, 1, int(v), sort_neighbors=True)
+        # the old order may break ties otherwise, never at another length
+        old = deque_bfs_slit(grid, 1, int(v))
+        assert len(path) == len(old) and path[0] == old[0] == int(v)
