@@ -12,6 +12,7 @@ import csv
 import functools
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,11 +109,18 @@ def _fan_out(job, items):
     return [job(x) for x in items]
 
 
-class _SweepSolver:
-    """Caches flux -> (eigenvalues, max residual) for one grid and potential.
+class _Spectrum(NamedTuple):
+    """The part of an EigenResult that a sweep reads: no eigenvectors."""
 
-    A flux whose solve raised NoConvergence caches the exception, and every
-    solve of that flux raises it.
+    eigenvalues: np.ndarray
+    residuals: np.ndarray
+
+
+class _SweepSolver:
+    """Caches flux -> _Spectrum for one grid and potential.
+
+    A flux whose solve raised NoConvergence caches the exception, with a
+    _Spectrum as its best result, and every solve of that flux raises it.
     """
 
     def __init__(self, cfg: ExperimentConfig, grid=None):
@@ -126,9 +134,12 @@ class _SweepSolver:
         H = assemble_magnetic(self.grid, field, V=self.V)
         s = self.cfg.solver
         try:
-            return lowest_eigenpairs(H, s.count, tol=s.tol, seed=s.seed)
+            r = lowest_eigenpairs(H, s.count, tol=s.tol, seed=s.seed)
         except NoConvergence as exc:
+            best = exc.best_result
+            exc.best_result = _Spectrum(best.eigenvalues, best.residuals)
             return exc
+        return _Spectrum(r.eigenvalues, r.residuals)
 
     def prefetch(self, ts):
         """Solve every flux of ts not cached yet, as one _fan_out batch."""

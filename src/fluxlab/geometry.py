@@ -15,7 +15,7 @@ import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-from scipy import ndimage
+from scipy import sparse
 
 from .errors import DisconnectedDomain, NoSuchHole, SpecTooCoarse
 
@@ -275,6 +275,37 @@ def winding_number(points, center):
     return float(np.sum(inc) / (2.0 * np.pi))
 
 
+def label_components(mask, diagonal=False):
+    """(labels, count) of the connected components of a boolean raster.
+
+    Cells are 4-neighbours, or 8-neighbours with diagonal=True.  Labels run
+    from 1 in raster order of each component's first cell, and cells outside
+    the mask read 0: the numbering of scipy.ndimage.label, whose import would
+    also load scipy.special.
+    """
+    from scipy.sparse.csgraph import connected_components  # see cover.spanning_tree
+
+    ni, nj = mask.shape
+    n = int(np.count_nonzero(mask))
+    index = np.full(mask.shape, -1, dtype=np.int64)
+    index[mask] = np.arange(n)
+    rows, cols = [], []
+    for di, dj in ((1, 0), (0, 1)) + (((1, 1), (1, -1)) if diagonal else ()):
+        # cell (a, b) of src links to cell (a + di, b + dj) of dst
+        src = (slice(0, ni - di), slice(max(0, -dj), nj - max(0, dj)))
+        dst = (slice(di, ni), slice(max(0, dj), nj + min(0, dj)))
+        link = mask[src] & mask[dst]
+        rows.append(index[src][link])
+        cols.append(index[dst][link])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    g = sparse.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
+    # labels in order of each component's lowest index, i.e. its first cell
+    count, lab = connected_components(g, directed=False)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = lab + 1
+    return labels, int(count)
+
+
 def build_grid(spec: DomainSpec) -> GridDomain:
     """Discretize a DomainSpec on the lattice spacing*Z^2.
 
@@ -301,13 +332,13 @@ def build_grid(spec: DomainSpec) -> GridDomain:
         raise SpecTooCoarse("no lattice point falls inside the domain")
 
     # connectivity of the active set (4-neighbor)
-    lab, nlab = ndimage.label(active)
+    _, nlab = label_components(active)
     if nlab != 1:
         raise DisconnectedDomain(f"active set splits into {nlab} components")
 
     # label excluded regions with 8-connectivity; the region containing the
     # padded border is the outer region (label 0)
-    excl_lab, n_excl = ndimage.label(~active, structure=np.ones((3, 3), dtype=bool))
+    excl_lab, n_excl = label_components(~active, diagonal=True)
     excl = np.full((ni, nj), -1, dtype=np.int16)
     outer_region = excl_lab[0, 0]
     region_of_hole = {}

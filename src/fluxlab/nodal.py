@@ -16,12 +16,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 
 from .cover import CoverGraph, CoverPhase, build_theta, lift_to_cover
 from .eigensolver import multiplicity_estimate
 from .errors import NoSignChange, PreconditionViolated
-from .geometry import GridDomain
+from .geometry import GridDomain, label_components
 
 
 @dataclass
@@ -298,7 +298,7 @@ def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:
     for a, b in nodal.crossed_cells:
         if 0 <= a < free.shape[0] and 0 <= b < free.shape[1]:
             free[a, b] = False
-    _, n_comp = ndimage.label(free)
+    _, n_comp = label_components(free)
     complement_connected = n_comp == 1
 
     cover_domain_count = _cover_components(nodal, grid, free)

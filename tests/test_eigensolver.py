@@ -112,6 +112,68 @@ def test_factorization_is_symmetric_mode(annulus, monkeypatch):
         assert np.max(np.abs(r.eigenvalues - dense_eigs(H, 3))) < 1e-9
 
 
+class CountingLU:
+    """A SuperLU factorization that counts its solves."""
+
+    def __init__(self, lu, solves):
+        self._lu = lu
+        self._solves = solves
+
+    def solve(self, rhs):
+        self._solves.append(1)
+        return self._lu.solve(rhs)
+
+
+def solve_counting_lu(monkeypatch, H, m, tol, arpack_to_round_off=False):
+    """(result, LU solves) of one solve; arpack_to_round_off runs eigsh with
+    tol=0 and scipy's default ncv, as before the stopping rule."""
+    solves = []
+    real_eigsh = eigensolver.eigsh
+
+    def eigsh(A, k, tol, ncv, **kwargs):
+        if arpack_to_round_off:
+            tol, ncv = 0, None
+        return real_eigsh(A, k, tol=tol, ncv=ncv, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(eigensolver, "splu", lambda A, **kwargs: CountingLU(splu(A, **kwargs), solves))
+        mp.setattr(eigensolver, "eigsh", eigsh)
+        return fl.lowest_eigenpairs(H, m, tol=tol), len(solves)
+
+
+def stopping_rule_case(name):
+    """(H, m) on the grids of configs/annulus.cfg and annulus_offset.cfg."""
+    hole = fl.Disk(0.25, 0.1, 0.25) if name == "real-slit" else fl.Disk(0, 0, 0.3)
+    grid = fl.build_grid(fl.DomainSpec(outer=fl.Disk(0, 0, 1.0), holes=(hole,), spacing=0.02))
+    if name == "complex-flux-0.3":
+        return fl.assemble_magnetic(grid, fl.aharonov_bohm_potential(grid, [0.3])), 3
+    if name == "real-slit":
+        return fl.assemble_slit(grid, fl.zero_field(grid), slit=fl.radial_slit(grid, 1, 0.0)), 1
+    cover = fl.build_cover(fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5])))
+    return fl.antisymmetric_block(cover), 4  # as the half-flux experiments solve it
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("case", ["complex-flux-0.3", "real-slit", "half-flux-block"])
+def test_arpack_stops_at_the_checked_bound(case, tol, monkeypatch):
+    # ARPACK's tolerance is derived from the residual bound, so it stops
+    # before round-off, and every residual stays under the bound with the
+    # margin ARPACK stops at
+    H, m = stopping_rule_case(case)
+    r, solves = solve_counting_lu(monkeypatch, H, m, tol)
+    full, full_solves = solve_counting_lu(monkeypatch, H, m, tol, arpack_to_round_off=True)
+    lower, upper = eigensolver.gershgorin_bounds(H.matrix)
+    assert np.all(r.residuals <= eigensolver.ARPACK_MARGIN * tol * max(abs(lower), abs(upper)))
+    assert np.max(np.abs(r.eigenvalues - full.eigenvalues) / np.abs(full.eigenvalues)) < 1e-12
+    if tol == 1e-10:
+        # the configs' tol.  A solve that converged within scipy's first
+        # 20-vector basis (21 LU solves, as most slits of the concentric
+        # annulus do) can now take a few more; the offset annulus's slits
+        # needed a restart there (36).  At 1e-12 the 2k + 1 basis can take
+        # more solves than the 20-vector one
+        assert solves < full_solves
+
+
 def test_no_convergence_reports_best(annulus):
     f = fl.aharonov_bohm_potential(annulus, [0.3])
     H = fl.assemble_magnetic(annulus, f)

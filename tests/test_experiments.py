@@ -14,6 +14,7 @@ from fluxlab.cli import cli_main
 from fluxlab.config import ExperimentConfig, load_config, parse_shape
 from fluxlab.errors import ConfigError, EmptyFamily, NoConvergence
 from fluxlab.experiments import (
+    _SweepSolver,
     _fan_out,
     _half_flux_ground,
     run_circle_check,
@@ -324,6 +325,20 @@ def test_sweep_failure_through_the_pool(holes, flux, coarse_cfg, tmp_path, monke
         assert all(r[5] >= 1 for r in rows if r[0] != flux)
     else:
         assert outcomes[0][0] == "raised"
+
+
+def test_sweep_cache_keeps_no_eigenvectors(coarse_cfg, monkeypatch):
+    # workers send back eigenvalues and residuals only, also as the best
+    # result of a flux that did not converge
+    grid = fl.build_grid(coarse_cfg.domain)
+    stall_eigsh_at(monkeypatch, grid, 0.25)
+    usable_cpus(monkeypatch, 2)
+    sw = _SweepSolver(coarse_cfg, grid)
+    sw.prefetch([0.0, 0.25, 0.5])
+    assert isinstance(sw.cache[0.25], NoConvergence)
+    for r in (sw.cache[0.0], sw.cache[0.5], sw.cache[0.25].best_result):
+        assert r._fields == ("eigenvalues", "residuals")
+        assert r.eigenvalues.shape == r.residuals.shape == (coarse_cfg.solver.count,)
 
 
 def test_circle_check(coarse_cfg, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import fluxlab as fl
 from fluxlab.errors import DisconnectedDomain, NoSuchHole, SpecTooCoarse
-from fluxlab.geometry import DomainSpec
+from fluxlab.geometry import DomainSpec, label_components
 
 from conftest import winding_oracle
 
@@ -163,6 +163,23 @@ def test_disconnected_domain_guard(monkeypatch):
     )
     with pytest.raises((DisconnectedDomain, SpecTooCoarse)):
         fl.build_grid(spec)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_label_components_matches_ndimage(diagonal, annulus, two_holes):
+    # scipy.ndimage.label is the oracle: same labels, same numbering
+    from scipy import ndimage
+
+    structure = np.ones((3, 3), dtype=bool) if diagonal else None
+    rng = np.random.default_rng(3)
+    masks = [rng.random((31, 27)) < p for p in (0.4, 0.55, 0.7)]
+    masks += [np.zeros((4, 5), dtype=bool), np.ones((1, 6), dtype=bool)]
+    for g in (annulus, two_holes):
+        masks += [g._vid >= 0, g._vid < 0]
+    for mask in masks:
+        labels, count = label_components(mask, diagonal)
+        want, want_count = ndimage.label(mask, structure=structure)
+        assert count == want_count and np.array_equal(labels, want)
 
 
 def test_rectangular_holes():
