@@ -3,19 +3,23 @@
 A config names a domain, a potential, a flux sweep grid, solver settings
 and per-experiment parameters.  Shapes are written as `disk cx cy r` or
 `rect x0 y0 x1 y1`; holes are keys starting with `hole` in the [domain]
-section, ordered by key.  An unknown section or key is a ConfigError, and
-so is any setting next to a `[domain] file = other.cfg` reference, or a
-referenced file that refers on to a third.
+section, ordered by key.  Each potential kind takes the parameters that
+`_POTENTIAL_KINDS` lists; the keys of the other sections are the fields of
+settings dataclasses, each parsed by the type of its default.  An unknown
+section, key or potential parameter is a ConfigError, and so is a missing
+required potential parameter, any setting next to a `[domain] file =
+other.cfg` reference, or a referenced file that refers on to a third.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
+from .eigensolver import DEFAULT_SEED
 from .errors import ConfigError
 from .geometry import Disk, DomainSpec, Rect
 
@@ -33,10 +37,17 @@ def parse_shape(text: str):
 
 
 @dataclass
+class SweepSettings:
+    start: float = 0.0
+    stop: float = 1.0
+    step: float = 0.025
+
+
+@dataclass
 class SolverSettings:
     count: int = 3
     tol: float = 1e-10
-    seed: int = 0x5EED
+    seed: int = field(default=DEFAULT_SEED, metadata={"base": 0})  # 0x... allowed
     cluster_tol: float = 1e-3
 
 
@@ -62,12 +73,21 @@ class MultiplicitySettings:
     bump_radius: float = 0.65
 
 
+# the parameters each potential kind takes; all but center are required
+_POTENTIAL_KINDS = {
+    "zero": (),
+    "radial_well": ("center", "radius", "depth"),
+    "bump": ("center", "sigma", "amplitude"),
+    "table": ("file",),
+}
+
+
 @dataclass
 class ExperimentConfig:
     domain: DomainSpec
     potential_kind: str = "zero"
     potential_params: dict = field(default_factory=dict)
-    sweep: tuple = (0.0, 1.0, 0.025)
+    sweep: tuple = astuple(SweepSettings())
     solver: SolverSettings = field(default_factory=SolverSettings)
     circle: CircleSettings = field(default_factory=CircleSettings)
     slit: SlitSettings = field(default_factory=SlitSettings)
@@ -75,49 +95,45 @@ class ExperimentConfig:
     name: str = "experiment"
 
     def potential(self, grid):
-        """Evaluate the configured potential on the grid vertices (None = zero)."""
+        """Evaluate the configured potential on the grid vertices (None = zero);
+        load_config has checked the kind and its parameters."""
         kind = self.potential_kind
         p = self.potential_params
         if kind == "zero":
             return None
-        if kind == "radial_well":
-            cx, cy = p.get("center", (0.0, 0.0))
-            r = p["radius"]
-            depth = p["depth"]
-            d2 = (grid.xy[:, 0] - cx) ** 2 + (grid.xy[:, 1] - cy) ** 2
-            return np.where(d2 <= r * r, depth, 0.0)
-        if kind == "bump":
-            cx, cy = p.get("center", (0.0, 0.0))
-            sig = p["sigma"]
-            amp = p["amplitude"]
-            d2 = (grid.xy[:, 0] - cx) ** 2 + (grid.xy[:, 1] - cy) ** 2
-            return amp * np.exp(-0.5 * d2 / sig**2)
         if kind == "table":
-            pts = np.loadtxt(p["file"], ndmin=2)
             V = np.zeros(grid.n_vertices)
-            for x, y, v in pts:
+            for x, y, v in np.loadtxt(p["file"], ndmin=2):
                 V[np.argmin((grid.xy[:, 0] - x) ** 2 + (grid.xy[:, 1] - y) ** 2)] = v
             return V
-        raise ConfigError(f"unknown potential kind {kind!r}")
+        cx, cy = p.get("center", (0.0, 0.0))
+        d2 = (grid.xy[:, 0] - cx) ** 2 + (grid.xy[:, 1] - cy) ** 2
+        if kind == "radial_well":
+            r = p["radius"]
+            return np.where(d2 <= r * r, p["depth"], 0.0)
+        return p["amplitude"] * np.exp(-0.5 * d2 / p["sigma"] ** 2)
 
     def sweep_values(self):
         start, stop, step = self.sweep
         return np.round(np.arange(start, stop + 0.5 * step, step), 12)
 
 
-_POTENTIAL_PARAMS = ("radius", "depth", "sigma", "amplitude")
+# section -> the dataclass whose fields are its keys
+_SETTINGS = {
+    "sweep": SweepSettings,
+    "solver": SolverSettings,
+    "circle": CircleSettings,
+    "slit": SlitSettings,
+    "multiplicity": MultiplicitySettings,
+}
 
-# the keys each section reader takes; [domain] also takes every key that
-# starts with "hole"
+# the keys each section takes; [domain] also takes every key that starts
+# with "hole"
 _SECTION_KEYS = {
     "domain": ("outer", "spacing", "file"),
-    "potential": ("kind", "center", "file") + _POTENTIAL_PARAMS,
-    "sweep": ("start", "stop", "step"),
-    "solver": tuple(f.name for f in fields(SolverSettings)),
-    "circle": tuple(f.name for f in fields(CircleSettings)),
-    "slit": tuple(f.name for f in fields(SlitSettings)),
-    "multiplicity": tuple(f.name for f in fields(MultiplicitySettings)),
+    "potential": ("kind",) + tuple(dict.fromkeys(k for ks in _POTENTIAL_KINDS.values() for k in ks)),
     "experiment": ("name",),
+    **{name: tuple(f.name for f in fields(cls)) for name, cls in _SETTINGS.items()},
 }
 
 
@@ -131,17 +147,56 @@ def _check_keys(cp, path):
                 raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
 
 
-def _floats(text):
-    return tuple(float(t) for t in text.split())
-
-
-def _value(section, key, default, convert=float):
-    """section[key] (or default) through convert; ConfigError if it does not parse."""
-    text = section.get(key, default)
+def _value(cp, name, key, default, base=10):
+    """[name] key parsed by the type of default (default if absent);
+    ConfigError if it does not parse."""
+    if name not in cp or key not in cp[name]:
+        return default
+    text = cp[name][key]
     try:
-        return convert(text)
+        if isinstance(default, tuple):
+            return tuple(float(t) for t in text.split())
+        if isinstance(default, int):
+            return int(text, base)
+        if isinstance(default, float):
+            return float(text)
     except ValueError as exc:
-        raise ConfigError(f"bad [{section.name}] {key} = {text!r}") from exc
+        raise ConfigError(f"bad [{name}] {key} = {text!r}") from exc
+    return text
+
+
+def _potential_params(cp, path, kind):
+    """The [potential] parameters of kind, checked against _POTENTIAL_KINDS."""
+    if kind not in _POTENTIAL_KINDS:
+        raise ConfigError(f"unknown potential kind {kind!r}")
+    takes = _POTENTIAL_KINDS[kind]
+    given = [k for k in cp["potential"] if k != "kind"] if "potential" in cp else []
+    if not set(takes) - {"center"} <= set(given) <= set(takes):
+        raise ConfigError(
+            f"[potential] kind = {kind} takes {', '.join(takes) or 'no parameters'}"
+            f"{' (center optional)' if 'center' in takes else ''}, got {', '.join(given) or 'none'}"
+        )
+    params = {k: _value(cp, "potential", k, () if k == "center" else 0.0) for k in given if k != "file"}
+    if len(params.get("center", (0, 0))) != 2:
+        raise ConfigError(f"bad [potential] center = {cp['potential']['center']!r}: expected two numbers")
+    if "file" in given:
+        params["file"] = ref = _existing(cp["potential"]["file"], path, "potential table")
+        try:
+            columns = np.loadtxt(ref, ndmin=2).shape[1]
+        except ValueError as exc:
+            raise ConfigError(f"potential table {ref}: {exc}") from exc
+        if columns != 3:
+            raise ConfigError(f"potential table {ref}: rows must be 'x y value', got {columns} columns")
+    return params
+
+
+def _existing(ref, path, what):
+    """ref, taken relative to the directory of path; ConfigError if it does not exist."""
+    if not os.path.isabs(ref):
+        ref = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
+    if not os.path.exists(ref):
+        raise ConfigError(f"{what} not found: {ref}")
+    return ref
 
 
 def load_config(path, *, _referenced_by=None) -> ExperimentConfig:
@@ -163,99 +218,42 @@ def load_config(path, *, _referenced_by=None) -> ExperimentConfig:
         # the referenced file is the whole config: settings next to the
         # reference would be dropped
         if len(dom) > 1 or len(cp.sections()) > 1:
-            raise ConfigError(
-                f"{path}: [domain] file = {ref} must be the only setting in the file"
-            )
+            raise ConfigError(f"{path}: [domain] file = {ref} must be the only setting in the file")
         # one hop only, so a file that refers back to itself cannot recurse
         if _referenced_by is not None:
             raise ConfigError(f"{path}, referenced by {_referenced_by}, refers on to {ref}")
-        if not os.path.isabs(ref):
-            ref = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-        if not os.path.exists(ref):
-            raise ConfigError(f"referenced domain file not found: {ref}")
-        return load_config(ref, _referenced_by=path)
+        return load_config(_existing(ref, path, "referenced domain file"), _referenced_by=path)
     try:
-        outer = parse_shape(dom["outer"])
-        holes = tuple(parse_shape(dom[k]) for k in sorted(dom) if k.startswith("hole"))
-        spacing = float(dom.get("spacing", "0.05"))
-        domain = DomainSpec(outer=outer, holes=holes, spacing=spacing)
+        domain = DomainSpec(
+            outer=parse_shape(dom["outer"]),
+            holes=tuple(parse_shape(dom[k]) for k in sorted(dom) if k.startswith("hole")),
+            spacing=_value(cp, "domain", "spacing", DomainSpec.spacing),
+        )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad [domain] section: {exc}") from exc
 
-    cfg = ExperimentConfig(domain=domain)
+    s = {  # each settings dataclass, with the defaults of the keys it does not set
+        name: cls(**{f.name: _value(cp, name, f.name, f.default, **f.metadata) for f in fields(cls)})
+        for name, cls in _SETTINGS.items()
+    }
+    start, stop, step = s["sweep"] = astuple(s["sweep"])
+    if step <= 0:
+        raise ConfigError("sweep step must be positive")
+    if stop < start:
+        raise ConfigError(f"empty sweep: stop {stop} is below start {start}")
+    solver = s["solver"]
+    if solver.count < 1:
+        raise ConfigError(f"[solver] count must be at least 1, got {solver.count}")
+    if not (solver.tol > 0 and solver.cluster_tol > 0):
+        raise ConfigError("[solver] tol and cluster_tol must be positive")
+    if s["slit"].mode not in ("radial", "shortest"):
+        raise ConfigError(f"unknown slit mode {s['slit'].mode!r}")
 
-    if "potential" in cp:
-        pot = cp["potential"]
-        cfg.potential_kind = pot.get("kind", "zero")
-        params = {}
-        for key in _POTENTIAL_PARAMS:
-            if key in pot:
-                params[key] = _value(pot, key, None)
-        if "center" in pot:
-            params["center"] = _value(pot, "center", None, _floats)
-        if "file" in pot:
-            ref = pot["file"]
-            if not os.path.isabs(ref):
-                ref = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-            if not os.path.exists(ref):
-                raise ConfigError(f"potential table not found: {ref}")
-            params["file"] = ref
-        cfg.potential_params = params
-        if cfg.potential_kind not in ("zero", "radial_well", "bump", "table"):
-            raise ConfigError(f"unknown potential kind {cfg.potential_kind!r}")
-
-    if "sweep" in cp:
-        sw = cp["sweep"]
-        cfg.sweep = (
-            _value(sw, "start", "0.0"),
-            _value(sw, "stop", "1.0"),
-            _value(sw, "step", "0.025"),
-        )
-        if cfg.sweep[2] <= 0:
-            raise ConfigError("sweep step must be positive")
-        if cfg.sweep[1] < cfg.sweep[0]:
-            raise ConfigError(f"empty sweep: stop {cfg.sweep[1]} is below start {cfg.sweep[0]}")
-
-    if "solver" in cp:
-        so = cp["solver"]
-        cfg.solver = SolverSettings(
-            count=_value(so, "count", "3", int),
-            tol=_value(so, "tol", "1e-10"),
-            seed=_value(so, "seed", str(0x5EED), lambda t: int(t, 0)),
-            cluster_tol=_value(so, "cluster_tol", "1e-3"),
-        )
-        if cfg.solver.count < 1:
-            raise ConfigError(f"[solver] count must be at least 1, got {cfg.solver.count}")
-        if not (cfg.solver.tol > 0 and cfg.solver.cluster_tol > 0):
-            raise ConfigError("[solver] tol and cluster_tol must be positive")
-
-    if "circle" in cp:
-        ci = cp["circle"]
-        cfg.circle = CircleSettings(
-            points=_value(ci, "points", "256", int),
-            alphas=_value(ci, "alphas", "0 0.1 0.25 0.4 0.5", _floats),
-            epsilon=_value(ci, "epsilon", "0.01"),
-        )
-
-    if "slit" in cp:
-        sl = cp["slit"]
-        cfg.slit = SlitSettings(
-            count=_value(sl, "count", "32", int),
-            hole=_value(sl, "hole", "1", int),
-            mode=sl.get("mode", "radial"),
-        )
-        if cfg.slit.mode not in ("radial", "shortest"):
-            raise ConfigError(f"unknown slit mode {cfg.slit.mode!r}")
-
-    if "multiplicity" in cp:
-        mu = cp["multiplicity"]
-        cfg.multiplicity = MultiplicitySettings(
-            bump_amplitude=_value(mu, "bump_amplitude", "40.0"),
-            bump_sigma=_value(mu, "bump_sigma", "0.2"),
-            bump_angle=_value(mu, "bump_angle", "0.0"),
-            bump_radius=_value(mu, "bump_radius", "0.65"),
-        )
-
-    if "experiment" in cp:
-        cfg.name = cp["experiment"].get("name", cfg.name)
-    return cfg
+    kind = _value(cp, "potential", "kind", ExperimentConfig.potential_kind)
+    return ExperimentConfig(
+        domain=domain,
+        potential_kind=kind,
+        potential_params=_potential_params(cp, path, kind),
+        name=_value(cp, "experiment", "name", ExperimentConfig.name),
+        **s,
+    )

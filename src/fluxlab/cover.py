@@ -213,7 +213,7 @@ def assemble_lifted(cover: CoverGraph, V=None) -> HamiltonianMatrix:
         V = np.asarray(V, dtype=float).reshape(-1)
         if V.size == cover.n_base:
             V = np.tile(V, 2)
-    return assemble(cover.as_edge_graph(zero_phase=True), V=V, bc="cover-neumann")
+    return assemble(cover.as_edge_graph(zero_phase=True), V=V)
 
 
 def antisymmetric_block(cover: CoverGraph, V=None) -> HamiltonianMatrix:
@@ -225,14 +225,14 @@ def antisymmetric_block(cover: CoverGraph, V=None) -> HamiltonianMatrix:
     """
     base = cover.base
     graph = EdgeGraph(n=base.n, edges=base.edges, theta=np.pi * cover.cuts, spacing=base.spacing)
-    return assemble(graph, V=V, bc="cover-antisymmetric")
+    return assemble(graph, V=V)
 
 
 def symmetric_block(cover: CoverGraph, V=None) -> HamiltonianMatrix:
     """Lifted operator restricted to symmetric functions: the zero-flux base operator."""
     base = cover.base
     graph = EdgeGraph(n=base.n, edges=base.edges, theta=np.zeros(base.theta.size), spacing=base.spacing)
-    return assemble(graph, V=V, bc="cover-symmetric")
+    return assemble(graph, V=V)
 
 
 class ConjugationOperator:

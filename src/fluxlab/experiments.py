@@ -25,7 +25,7 @@ from .cover import (
     lift_to_cover,
     symmetric_block,
 )
-from .eigensolver import lowest_eigenpairs, multiplicity_estimate
+from .eigensolver import gershgorin_bounds, lowest_eigenpairs, multiplicity_estimate
 from .errors import ConfigError, EmptyFamily, NoConvergence
 from .gauge import aharonov_bohm_potential, zero_field
 from .geometry import DomainSpec, build_grid
@@ -164,10 +164,10 @@ def _sweep_fluxes(ts, k):
     return list(ts) + extra + ([0.5, 0.45] if k == 1 else [])
 
 
-def run_flux_sweep(cfg: ExperimentConfig, out_dir=None, solver=None):
+def run_flux_sweep(cfg: ExperimentConfig, out_dir=None):
     """Sweep the flux and check periodicity, flip symmetry, the strict
     zero-flux minimum and (one hole) maximality at half flux."""
-    sw = solver or _SweepSolver(cfg)
+    sw = _SweepSolver(cfg)
     s = cfg.solver
     ts = cfg.sweep_values()
     sw.prefetch(_sweep_fluxes(ts, sw.grid.k))
@@ -567,7 +567,7 @@ def run_cover_equivalence(cfg: ExperimentConfig, out_dir=None):
     for j in range(3):
         lu = lift_to_cover(r.eigenvectors[:, j], theta)
         worst = max(worst, float(np.linalg.norm(Hl.matrix @ lu - r.eigenvalues[j] * lu)))
-    budget = 10 * s.tol * Hl.norm_bound()
+    budget = 10 * s.tol * max(map(abs, gershgorin_bounds(Hl.matrix)))
     verdicts.append(
         Verdict(
             "lift-intertwines-eigenpairs",

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import BadSlit, InconsistentSizes, TooFewPoints
-from .gauge import LinkField
+from .gauge import LinkField, zero_field
 from .geometry import GridDomain
 
 
@@ -72,19 +72,10 @@ class HamiltonianMatrix:
     """Sparse Hermitian operator restricted to its unknown vertices."""
 
     matrix: sparse.csr_matrix
-    vertex_of_unknown: np.ndarray  # (n_unknowns,) source vertex per row
-    unknown_of_vertex: np.ndarray  # (n_vertices,) row per vertex, -1 if removed
-    bc: str
-    spacing: float
 
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def norm_bound(self) -> float:
-        """Gershgorin upper bound on the spectral norm."""
-        absrow = np.asarray(np.abs(self.matrix).sum(axis=1)).ravel()
-        return float(absrow.max()) if absrow.size else 0.0
 
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.getH()
@@ -104,7 +95,7 @@ def _as_potential(V, n):
     return V
 
 
-def assemble(graph: EdgeGraph, V=None, keep=None, bc="neumann") -> HamiltonianMatrix:
+def assemble(graph: EdgeGraph, V=None, keep=None) -> HamiltonianMatrix:
     """Assemble the form operator of a phased graph on the kept vertices.
 
     Edges to removed vertices still contribute to diagonals (the form term
@@ -143,9 +134,7 @@ def assemble(graph: EdgeGraph, V=None, keep=None, bc="neumann") -> HamiltonianMa
     vals = np.concatenate([hop, np.conj(hop), (deg[vtx] * inv_h2 + V[vtx]).astype(dtype)])
     mat = sparse.csr_matrix((vals, (rows, cols)), shape=(vtx.size, vtx.size))
     mat.sum_duplicates()
-    return HamiltonianMatrix(
-        matrix=mat, vertex_of_unknown=vtx, unknown_of_vertex=unk, bc=bc, spacing=graph.spacing
-    )
+    return HamiltonianMatrix(matrix=mat)
 
 
 def assemble_magnetic(grid: GridDomain, field: LinkField, V=None, bc="neumann") -> HamiltonianMatrix:
@@ -157,7 +146,7 @@ def assemble_magnetic(grid: GridDomain, field: LinkField, V=None, bc="neumann") 
         keep = grid.boundary_labels < 0
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    return assemble(graph, V=V, keep=keep, bc=bc)
+    return assemble(graph, V=V, keep=keep)
 
 
 @dataclass(frozen=True)
@@ -199,7 +188,7 @@ def assemble_slit(grid: GridDomain, field: LinkField, V=None, slit: SlitPath = N
         slit = make_slit(grid, slit)
     keep = np.ones(grid.n_vertices, dtype=bool)
     keep[list(slit.vertices)] = False
-    return assemble(as_edge_graph(grid, field), V=V, keep=keep, bc="slit-dirichlet")
+    return assemble(as_edge_graph(grid, field), V=V, keep=keep)
 
 
 def radial_slit(grid: GridDomain, hole: int, angle: float) -> SlitPath:
@@ -269,12 +258,7 @@ def shortest_slit(grid: GridDomain, hole: int, outer_vertex: int) -> SlitPath:
         raise BadSlit("starting vertex must lie on the outer boundary")
     from scipy.sparse.csgraph import breadth_first_order  # see cover.spanning_tree
 
-    tails, heads = grid.edges[:, 0], grid.edges[:, 1]
-    n = grid.n_vertices
-    adj = sparse.csr_matrix(
-        (np.ones(2 * tails.size, dtype=np.int8), (np.concatenate([tails, heads]), np.concatenate([heads, tails]))),
-        shape=(n, n),
-    )
+    adj = as_edge_graph(grid, zero_field(grid)).adjacency()
     order, pred = breadth_first_order(adj, int(outer_vertex), directed=True, return_predecessors=True)
     reached = order[grid.boundary_labels[order] == hole]
     if reached.size == 0:
@@ -287,4 +271,4 @@ def shortest_slit(grid: GridDomain, hole: int, outer_vertex: int) -> SlitPath:
 
 def assemble_circle(n: int, alpha: float, V=None) -> HamiltonianMatrix:
     """Circulant operator of the flux-threaded circle with n points."""
-    return assemble(circle_graph(n, alpha), V=V, bc="periodic")
+    return assemble(circle_graph(n, alpha), V=V)

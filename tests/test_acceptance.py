@@ -13,6 +13,7 @@ import pytest
 
 import fluxlab as fl
 from fluxlab.config import load_config
+from fluxlab.eigensolver import gershgorin_bounds
 from fluxlab.experiments import (
     _SweepSolver,
     _sweep_fluxes,
@@ -147,7 +148,7 @@ def test_criterion_6_conjugation_algebra(half_flux_lab):
     K = fl.conjugation_operator(grid, field)
     rng = np.random.default_rng(0x5EED)
     worst_sq, worst_comm = 0.0, 0.0
-    norm = H.norm_bound()
+    norm = max(map(abs, gershgorin_bounds(H.matrix)))
     for _ in range(20):
         u = rng.standard_normal(grid.n_vertices) + 1j * rng.standard_normal(grid.n_vertices)
         u /= np.linalg.norm(u)

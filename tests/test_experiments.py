@@ -188,6 +188,25 @@ def test_potentials(coarse_cfg):
     assert Vb.max() <= 3.0 and Vb.min() >= 0.0
 
 
+def test_table_potential(tmp_path):
+    # each row lands on the vertex nearest to (x, y); the file is named
+    # relative to the config
+    (tmp_path / "table.txt").write_text("0.51 -0.01 2.5\n0.01 0.69 -1.0\n-0.6 -0.42 4.0\n")
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(BASE_DOMAIN + "[potential]\nkind = table\nfile = table.txt\n")
+    cfg = load_config(cfgp)
+    grid = fl.build_grid(cfg.domain)
+    V = cfg.potential(grid)
+    assert np.count_nonzero(V) == 3
+    for x, y, v in ((0.5, 0.0, 2.5), (0.0, 0.7, -1.0), (-0.6, -0.4, 4.0)):
+        assert V[np.flatnonzero(np.all(np.isclose(grid.xy, (x, y)), axis=1))].tolist() == [v]
+    for rows in ("0.5 0.0\n0.0 0.7\n", "0.5 0.0 2.5 1.0\n"):
+        (tmp_path / "table.txt").write_text(rows)
+        with pytest.raises(ConfigError, match="columns"):
+            load_config(cfgp)
+        assert cli_main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
+
+
 def test_flux_sweep_verdicts(coarse_cfg, tmp_path):
     rows, verdicts = run_flux_sweep(coarse_cfg, out_dir=tmp_path)
     assert len(rows) == 5
@@ -442,6 +461,13 @@ def test_cli_missing_config(tmp_path):
         ("solver", "count = 0"),
         ("solver", "tol = 0"),
         ("solver", "cluster_tol = -1e-3"),
+        # potential settings that used to load and fail only when V was
+        # evaluated, or be dropped silently
+        ("potential", "kind = radial_well\nradius = 0.5"),
+        ("potential", "kind = table"),
+        ("potential", "kind = radial_well\ncenter = 0.5\nradius = 0.5\ndepth = -2"),
+        ("potential", "kind = zero\nradius = 0.5"),
+        ("potential", "kind = radial_well\nradius = 0.5\ndepth = deep"),
     ],
 )
 def test_cli_bad_value_exits_2(tmp_path, section, line):
