@@ -19,6 +19,7 @@ from .geometry import (
     Rect,
     build_grid,
     hole_loop,
+    lattice_symmetries,
     winding_number,
 )
 from .cover import (

@@ -12,6 +12,7 @@ import sys
 from .config import load_config
 from .errors import ConfigError, FluxlabError
 from .experiments import (
+    discretize,
     run_circle_check,
     run_cover_equivalence,
     run_flux_sweep,
@@ -39,19 +40,19 @@ def _parser():
     return p
 
 
-def _dispatch(name, cfg, out, refine):
+def _dispatch(name, cfg, out, refine, lattice):
     if name == "sweep":
-        return run_flux_sweep(cfg, out_dir=out)[1]
+        return run_flux_sweep(cfg, out_dir=out, lattice=lattice)[1]
     if name == "circle":
         return run_circle_check(cfg, out_dir=out)[1]
     if name == "slit":
-        return run_slit_infimum(cfg, out_dir=out, refine=refine)[1]
+        return run_slit_infimum(cfg, out_dir=out, refine=refine, lattice=lattice)[1]
     if name == "multiplicity":
-        return run_multiplicity_experiment(cfg, out_dir=out)
+        return run_multiplicity_experiment(cfg, out_dir=out, lattice=lattice)
     if name == "cover":
-        return run_cover_equivalence(cfg, out_dir=out)[1]
+        return run_cover_equivalence(cfg, out_dir=out, lattice=lattice)[1]
     if name == "nodal":
-        return run_nodal(cfg, out_dir=out)[1]
+        return run_nodal(cfg, out_dir=out, lattice=lattice)[1]
     raise ValueError(name)
 
 
@@ -70,8 +71,10 @@ def cli_main(argv=None) -> int:
         names = tuple(n for n in names if n not in ("slit", "multiplicity"))
     verdicts = []
     try:
+        # one grid and potential for every experiment but the circle's
+        lattice = discretize(cfg) if set(names) - {"circle"} else None
         for name in names:
-            verdicts.extend(_dispatch(name, cfg, args.out, args.grid_refine))
+            verdicts.extend(_dispatch(name, cfg, args.out, args.grid_refine, lattice))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from .cover import (
 from .eigensolver import gershgorin_bounds, lowest_eigenpairs, multiplicity_estimate
 from .errors import ConfigError, EmptyFamily, NoConvergence
 from .gauge import aharonov_bohm_potential, zero_field
-from .geometry import DomainSpec, build_grid
+from .geometry import DomainSpec, GridDomain, build_grid, lattice_symmetries
 from .nodal import extract_nodal_set, polylines_text, topology_report
 from .operators import (
     as_edge_graph,
@@ -109,6 +109,19 @@ def _fan_out(job, items):
     return [job(x) for x in items]
 
 
+class Lattice(NamedTuple):
+    """A config's grid and its potential on the grid's vertices (None: zero)."""
+
+    grid: GridDomain
+    V: np.ndarray | None
+
+
+def discretize(cfg: ExperimentConfig, domain: DomainSpec = None) -> Lattice:
+    """The grid of domain (default cfg.domain) and cfg's potential on it."""
+    grid = build_grid(cfg.domain if domain is None else domain)
+    return Lattice(grid, cfg.potential(grid))
+
+
 class _Spectrum(NamedTuple):
     """The part of an EigenResult that a sweep reads: no eigenvectors."""
 
@@ -117,16 +130,15 @@ class _Spectrum(NamedTuple):
 
 
 class _SweepSolver:
-    """Caches flux -> _Spectrum for one grid and potential.
+    """Caches flux -> _Spectrum for one grid and potential (default: cfg's).
 
     A flux whose solve raised NoConvergence caches the exception, with a
     _Spectrum as its best result, and every solve of that flux raises it.
     """
 
-    def __init__(self, cfg: ExperimentConfig, grid=None):
+    def __init__(self, cfg: ExperimentConfig, lattice: Lattice = None):
         self.cfg = cfg
-        self.grid = grid if grid is not None else build_grid(cfg.domain)
-        self.V = cfg.potential(self.grid)
+        self.grid, self.V = lattice if lattice is not None else discretize(cfg)
         self.cache = {}
 
     def _compute(self, key):
@@ -164,10 +176,10 @@ def _sweep_fluxes(ts, k):
     return list(ts) + extra + ([0.5, 0.45] if k == 1 else [])
 
 
-def run_flux_sweep(cfg: ExperimentConfig, out_dir=None):
+def run_flux_sweep(cfg: ExperimentConfig, out_dir=None, lattice: Lattice = None):
     """Sweep the flux and check periodicity, flip symmetry, the strict
     zero-flux minimum and (one hole) maximality at half flux."""
-    sw = _SweepSolver(cfg)
+    sw = _SweepSolver(cfg, lattice)
     s = cfg.solver
     ts = cfg.sweep_values()
     sw.prefetch(_sweep_fluxes(ts, sw.grid.k))
@@ -335,31 +347,59 @@ def _slit_family(cfg: ExperimentConfig, grid):
     return [functools.partial(shortest_slit, grid, hole, int(v)) for v in picks]
 
 
-def _slit_minimum(cfg: ExperimentConfig, domain: DomainSpec):
+def _slit_orbits(slits, group):
+    """For each slit, the index of the first slit of its orbit under group.
+
+    A slit's key is the least sorted image of its vertex set over the group,
+    so two slits share a key iff a symmetry maps one vertex set onto the other.
+    """
+    first, orbit = {}, []
+    for j, slit in enumerate(slits):
+        images = np.sort(group[:, list(slit.vertices)], axis=1)
+        orbit.append(first.setdefault(min(map(tuple, images.tolist())), j))
+    return orbit
+
+
+def _slit_minimum(cfg: ExperimentConfig, lattice: Lattice):
     """Half-flux lambda1 and one (index, slit length, lambda1) row per slit.
 
-    The half-flux solve and every slit (path and solve) are one _fan_out
-    batch.
+    A slit's matrix depends only on the active set, V, h and the slit's
+    vertex set.  So slits that a lattice symmetry keeping V maps onto each
+    other have matrices equal up to a renumbering of the unknowns, and one
+    solve serves each orbit.  The half-flux solve and the first slit of each
+    orbit are one _fan_out batch; with no symmetry but the identity every
+    slit is its own orbit, and each is made in its worker.
     """
-    grid = build_grid(domain)
-    V = cfg.potential(grid)
+    grid, V = lattice
     s = cfg.solver
     zf = zero_field(grid)
 
-    def solve(make_slit):
-        if make_slit is None:
+    def solve(slit):
+        if slit is None:
             H, size = antisymmetric_block(_half_flux_cover(grid), V=V), None
         else:
-            slit = make_slit()
+            slit = slit() if callable(slit) else slit
             H, size = assemble_slit(grid, zf, V=V, slit=slit), len(slit.vertices)
         return size, float(lowest_eigenpairs(H, 1, tol=s.tol, seed=s.seed).eigenvalues[0])
 
-    (_, lam_mag), *solved = _fan_out(solve, [None] + _slit_family(cfg, grid))
-    rows = [(j, size, lam) for j, (size, lam) in enumerate(solved)]
-    return grid, lam_mag, rows
+    family = _slit_family(cfg, grid)
+    orbit = list(range(len(family)))
+    group = lattice_symmetries(grid)
+    if V is not None:
+        group = group[[np.array_equal(V[p], V) for p in group]]
+    if len(group) > 1:
+        family = [make_slit() for make_slit in family]
+        orbit = _slit_orbits(family, group)
+    del group  # n ints per symmetry: free them before the workers fork
+    firsts = sorted(set(orbit))
+    (_, lam_mag), *solved = _fan_out(solve, [None] + [family[j] for j in firsts])
+    # every slit has its orbit's lambda1 and vertex count
+    solved = dict(zip(firsts, solved))
+    rows = [(j, *solved[first]) for j, first in enumerate(orbit)]
+    return lam_mag, rows
 
 
-def run_slit_infimum(cfg: ExperimentConfig, out_dir=None, refine=False):
+def run_slit_infimum(cfg: ExperimentConfig, out_dir=None, refine=False, lattice: Lattice = None):
     """Minimum of the slit-pinned zero-field ground energy over a slit family
     against the half-flux ground energy, with an optional two-grid check.
 
@@ -368,7 +408,7 @@ def run_slit_infimum(cfg: ExperimentConfig, out_dir=None, refine=False):
     """
     if cfg.domain.k != 1:
         raise ConfigError(f"slit experiment needs exactly one hole, got {cfg.domain.k}")
-    grid, lam_mag, rows = _slit_minimum(cfg, cfg.domain)
+    lam_mag, rows = _slit_minimum(cfg, lattice if lattice is not None else discretize(cfg))
     lams = np.array([r[2] for r in rows])
     lam_min = float(lams.min())
     gap = lam_min - lam_mag
@@ -391,7 +431,7 @@ def run_slit_infimum(cfg: ExperimentConfig, out_dir=None, refine=False):
         fine = DomainSpec(
             outer=cfg.domain.outer, holes=cfg.domain.holes, spacing=cfg.domain.spacing / 2
         )
-        _, lam_mag2, rows2 = _slit_minimum(cfg, fine)
+        lam_mag2, rows2 = _slit_minimum(cfg, discretize(cfg, fine))
         lam_min2 = float(min(r[2] for r in rows2))
         gap2 = lam_min2 - lam_mag2
         # axis-aligned slits on a mirror-symmetric lattice make the identity
@@ -446,17 +486,16 @@ def _half_flux_ground(cfg: ExperimentConfig, V, grid):
     return cover, r, mult
 
 
-def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None):
+def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None, lattice: Lattice = None):
     """Ground multiplicity at half flux: two on a centrally symmetric
     domain and one on any other, one once a potential bump breaks the
     symmetry, never above two for a single hole."""
     if cfg.domain.k != 1:
         raise ConfigError(f"multiplicity experiment needs exactly one hole, got {cfg.domain.k}")
-    grid = build_grid(cfg.domain)
+    grid, V = lattice if lattice is not None else discretize(cfg)
     s = cfg.solver
     verdicts = []
 
-    V = cfg.potential(grid)
     _, r, mult = _half_flux_ground(cfg, V, grid)
     width = s.cluster_tol * (1.0 + abs(r.eigenvalues[0]))
     gap_above = float(r.eigenvalues[min(mult, len(r.eigenvalues) - 1)] - r.eigenvalues[mult - 1]) if mult < len(r.eigenvalues) else np.nan
@@ -508,7 +547,7 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None):
     return verdicts
 
 
-def run_cover_equivalence(cfg: ExperimentConfig, out_dir=None):
+def run_cover_equivalence(cfg: ExperimentConfig, out_dir=None, lattice: Lattice = None):
     """Magnetic spectrum == antisymmetric lifted spectrum; symmetric lifted
     spectrum == zero-flux spectrum; the lift intertwines eigenpairs."""
     s = cfg.solver
@@ -529,9 +568,8 @@ def run_cover_equivalence(cfg: ExperimentConfig, out_dir=None):
     rows.append(("circle-antisymmetric",) + tuple(float(x) for x in ranti.eigenvalues))
     rows.append(("circle-magnetic",) + tuple(float(x) for x in rmag.eigenvalues))
 
-    # annulus at half flux
-    grid = build_grid(cfg.domain)
-    V = cfg.potential(grid)
+    # the domain at half flux
+    grid, V = lattice if lattice is not None else discretize(cfg)
     field = aharonov_bohm_potential(grid, [0.5] * grid.k)
     H = assemble_magnetic(grid, field, V=V)
     r = lowest_eigenpairs(H, 3, tol=s.tol, seed=s.seed)
@@ -599,11 +637,10 @@ def run_cover_equivalence(cfg: ExperimentConfig, out_dir=None):
     return rows, verdicts
 
 
-def run_nodal(cfg: ExperimentConfig, out_dir=None):
+def run_nodal(cfg: ExperimentConfig, out_dir=None, lattice: Lattice = None):
     """Extract the half-flux ground nodal sets and verify the slitting
     topology claims on the reports."""
-    grid = build_grid(cfg.domain)
-    V = cfg.potential(grid)
+    grid, V = lattice if lattice is not None else discretize(cfg)
     cov, r, mult = _half_flux_ground(cfg, V, grid)
 
     verdicts = []

@@ -420,6 +420,33 @@ def build_grid(spec: DomainSpec) -> GridDomain:
     return grid
 
 
+def lattice_symmetries(grid: GridDomain) -> np.ndarray:
+    """Vertex permutations of the square's symmetries (D4) that map the
+    active set onto itself, the identity first.
+
+    Row g sends vertex v to vertex out[g, v].  A symmetry of a finite point
+    set fixes its bounding box, so the candidates are the flips of the
+    vertex raster cropped to that box, and its transposes when the box is
+    square.  Each maps lattice neighbours to lattice neighbours, so a row
+    that maps the active set onto itself maps the edges onto the edges.
+    """
+    rows = np.flatnonzero(grid._active.any(axis=1))
+    cols = np.flatnonzero(grid._active.any(axis=0))
+    box = grid._vid[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    active = box >= 0
+    # image[p] is the vertex that the symmetry moves to point p
+    images = [
+        image
+        for t in ((box, box.T) if box.shape[0] == box.shape[1] else (box,))
+        for image in (t, t[::-1], t[:, ::-1], t[::-1, ::-1])
+        if np.array_equal(image >= 0, active)
+    ]
+    perms = np.empty((len(images), grid.n_vertices), dtype=np.int64)
+    for perm, image in zip(perms, images):
+        perm[image[active]] = box[active]
+    return perms
+
+
 # directed boundary edges around a cell blob, region kept on the left (CCW)
 _SIDE_EDGES = {
     "S": lambda a, b: ((a, b), (a + 1, b)),

@@ -7,6 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import fluxlab as fl
@@ -17,6 +18,9 @@ from fluxlab.experiments import (
     _SweepSolver,
     _fan_out,
     _half_flux_ground,
+    _slit_minimum,
+    _slit_orbits,
+    discretize,
     run_circle_check,
     run_cover_equivalence,
     run_flux_sweep,
@@ -349,10 +353,10 @@ def test_sweep_failure_through_the_pool(holes, flux, coarse_cfg, tmp_path, monke
 def test_sweep_cache_keeps_no_eigenvectors(coarse_cfg, monkeypatch):
     # workers send back eigenvalues and residuals only, also as the best
     # result of a flux that did not converge
-    grid = fl.build_grid(coarse_cfg.domain)
-    stall_eigsh_at(monkeypatch, grid, 0.25)
+    lattice = discretize(coarse_cfg)
+    stall_eigsh_at(monkeypatch, lattice.grid, 0.25)
     usable_cpus(monkeypatch, 2)
-    sw = _SweepSolver(coarse_cfg, grid)
+    sw = _SweepSolver(coarse_cfg, lattice)
     sw.prefetch([0.0, 0.25, 0.5])
     assert isinstance(sw.cache[0.25], NoConvergence)
     for r in (sw.cache[0.0], sw.cache[0.5], sw.cache[0.25].best_result):
@@ -393,6 +397,87 @@ def test_slit_infimum_off_center():
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
     tight = next(v for v in verdicts if v.name == "slit-infimum-tightness")
     assert "relative gap" in tight.detail
+
+
+def radial_family(grid, count=32):
+    return [fl.radial_slit(grid, 1, 2.0 * np.pi * j / count) for j in range(count)]
+
+
+def count_solves(monkeypatch):
+    """In-process lowest_eigenpairs calls of the experiments, as a list."""
+    calls = []
+    solve = fl.experiments.lowest_eigenpairs
+
+    def counted(H, *args, **kwargs):
+        calls.append(H.n)
+        return solve(H, *args, **kwargs)
+
+    usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(fl.experiments, "lowest_eigenpairs", counted)
+    return calls
+
+
+def test_slits_of_one_orbit_have_permuted_matrices(annulus):
+    grid = annulus
+    group = fl.lattice_symmetries(grid)
+    V = (grid.xy**2).sum(axis=1)  # x^2 + y^2: every symmetry keeps it bit for bit
+    assert len(group) == 8 and all(np.array_equal(V[p], V) for p in group)
+    slits = radial_family(grid)
+    orbit = _slit_orbits(slits, group)
+    zf = fl.zero_field(grid)
+    pairs = [(i, j) for j, i in enumerate(orbit) if i != j]
+    assert len(pairs) == len(slits) - len(set(orbit)) > 0
+    for i, j in pairs:
+        si, sj = (np.array(slits[t].vertices) for t in (i, j))
+        g = next(p for p in group if set(p[si]) == set(sj))
+        keep_i, keep_j = (np.setdiff1d(np.arange(grid.n_vertices), s) for s in (si, sj))
+        rank_j = np.full(grid.n_vertices, -1)
+        rank_j[keep_j] = np.arange(keep_j.size)
+        P = sparse.csr_matrix((np.ones(keep_i.size), (rank_j[g[keep_i]], np.arange(keep_i.size))))
+        Ai = fl.assemble_slit(grid, zf, V=V, slit=slits[i]).matrix
+        Aj = fl.assemble_slit(grid, zf, V=V, slit=slits[j]).matrix
+        assert (P @ Ai @ P.T != Aj).nnz == 0
+
+
+def test_slit_orbits_match_independent_solves(monkeypatch):
+    # the annulus at h=0.02: 32 slits in 5 orbits under the 8 symmetries
+    cfg = load_config("configs/annulus.cfg")
+    calls = count_solves(monkeypatch)
+    lattice = discretize(cfg)
+    lam_mag, rows = _slit_minimum(cfg, lattice)
+    assert len(calls) == 1 + 5
+    grid, s = lattice.grid, cfg.solver
+    zf = fl.zero_field(grid)
+    for (j, size, lam), slit in zip(rows, radial_family(grid)):
+        want = fl.lowest_eigenpairs(fl.assemble_slit(grid, zf, slit=slit), 1, tol=s.tol, seed=s.seed).eigenvalues[0]
+        assert size == len(slit.vertices)
+        assert abs(lam - want) <= 1e-12 * want, j
+
+
+@pytest.mark.parametrize(
+    "hole, potential",
+    [
+        ("disk 0.25 0.1 0.25", ""),
+        ("disk 0.0 0.0 0.3", "[potential]\nkind = bump\ncenter = 0.5 0.2\nsigma = 0.2\namplitude = 5.0\n"),
+    ],
+    ids=["offset-annulus", "off-centre-bump"],
+)
+def test_slit_family_without_symmetry_solves_every_slit(hole, potential, tmp_path, monkeypatch):
+    p = tmp_path / "c.cfg"
+    text = COARSE.format(epsilon="0.01", slit_mode="radial").replace("count = 8", "count = 32")
+    p.write_text(text.replace("disk 0.0 0.0 0.3", hole) + potential)
+    cfg = load_config(p)
+    lattice = discretize(cfg)
+    group = fl.lattice_symmetries(lattice.grid)
+    if lattice.V is not None:
+        # the bump breaks every symmetry of the concentric annulus
+        assert len(group) == 8 and [np.array_equal(lattice.V[g], lattice.V) for g in group].count(True) == 1
+    else:
+        assert len(group) == 1
+    calls = count_solves(monkeypatch)
+    _, rows = _slit_minimum(cfg, lattice)
+    assert len(calls) == 1 + 32 and len(rows) == 32
+    assert len({lam for _, _, lam in rows}) == 32
 
 
 def test_slit_empty_family(coarse_cfg):
@@ -489,6 +574,27 @@ def test_cli_all_coarse(tmp_path):
             "nodal.svg", "verdicts.txt"} <= produced
     text = (out / "verdicts.txt").read_text()
     assert text.count("PASS") >= 14 and "FAIL" not in text
+
+
+def test_cli_all_builds_the_grid_once(tmp_path, monkeypatch):
+    # `all` shares one grid and potential; each command alone builds its own
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(COARSE.format(epsilon="0.01", slit_mode="radial"))
+    builds = []
+    build_grid = fl.experiments.build_grid
+    monkeypatch.setattr(fl.experiments, "build_grid", lambda spec: builds.append(spec) or build_grid(spec))
+    assert cli_main(["all", "--config", str(cfgp), "--out", str(tmp_path / "all")]) == 0
+    assert len(builds) == 1
+    verdicts = b""
+    for name in ("sweep", "circle", "slit", "multiplicity", "cover", "nodal"):
+        assert cli_main([name, "--config", str(cfgp), "--out", str(tmp_path / "one")]) == 0
+        verdicts += (tmp_path / "one" / "verdicts.txt").read_bytes()
+    assert len(builds) == 1 + 5
+    files = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "one").iterdir())
+    for name in files:
+        want = verdicts if name == "verdicts.txt" else (tmp_path / "one" / name).read_bytes()
+        assert (tmp_path / "all" / name).read_bytes() == want, name
 
 
 def test_cli_verdict_failure(tmp_path):

@@ -1,11 +1,14 @@
 """Grid construction, boundary labeling and hole-encircling loops."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import fluxlab as fl
 from fluxlab.errors import DisconnectedDomain, NoSuchHole, SpecTooCoarse
-from fluxlab.geometry import DomainSpec, label_components
+from fluxlab.geometry import DomainSpec, label_components, lattice_symmetries
 
 from conftest import winding_oracle
 
@@ -213,3 +216,71 @@ def test_central_symmetry():
     assert not fl.DomainSpec(outer=fl.Rect(0, 0, 3, 1), holes=pair[:1], spacing=0.02).is_centrally_symmetric()
     rect_hole = (fl.Rect(0.8, 0.4, 1.2, 0.6),)
     assert fl.DomainSpec(outer=fl.Rect(0, 0, 2, 1), holes=rect_hole, spacing=0.05).is_centrally_symmetric()
+
+
+# the 8 integer matrices of the square's symmetry group
+D4 = [np.array(m) for m in ([[1, 0], [0, 1]], [[-1, 0], [0, 1]], [[1, 0], [0, -1]], [[-1, 0], [0, -1]],
+                            [[0, 1], [1, 0]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]], [[0, -1], [-1, 0]])]
+
+
+def symmetries_oracle(grid):
+    """Every D4 matrix M, with the shift that keeps the lattice index box,
+    under which the active index set maps onto itself, as vertex maps."""
+    vertex = {tuple(ij): v for v, ij in enumerate(grid.ij.tolist())}
+    out = set()
+    for m in D4:
+        image = grid.ij @ m.T
+        image += grid.ij.min(axis=0) - image.min(axis=0)
+        perm = tuple(vertex.get(tuple(ij), -1) for ij in image.tolist())
+        if -1 not in perm:
+            out.add(perm)
+    return out
+
+
+@st.composite
+def small_domains(draw):
+    """Disk or rect domains with at most one hole at h >= 0.05; centres sit
+    on the half-lattice, so many of them keep some mirror symmetry."""
+    h = draw(st.sampled_from([0.05, 0.1]))
+
+    def coord(reach):
+        return draw(st.integers(-reach, reach)) * h / 2
+
+    if draw(st.booleans()):
+        outer = fl.Disk(coord(2), coord(2), draw(st.sampled_from([0.8, 1.0])))
+    else:
+        x0, y0 = coord(2), coord(2)
+        outer = fl.Rect(x0, y0, x0 + draw(st.sampled_from([1.6, 2.0])), y0 + draw(st.sampled_from([1.6, 2.0])))
+    cx, cy = outer.reference_point()
+    holes = ()
+    hole = draw(st.sampled_from(["none", "disk", "rect"]))
+    if hole != "none":
+        hx, hy = cx + coord(3), cy + coord(3)
+        a, b = draw(st.sampled_from([0.2, 0.25])), draw(st.sampled_from([0.2, 0.25]))
+        holes = (fl.Disk(hx, hy, a),) if hole == "disk" else (fl.Rect(hx - a, hy - b, hx + a, hy + b),)
+    try:
+        return fl.build_grid(fl.DomainSpec(outer=outer, holes=holes, spacing=h))
+    except (SpecTooCoarse, DisconnectedDomain):
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_domains())
+def test_lattice_symmetries_are_a_group_of_lattice_maps(grid):
+    perms = lattice_symmetries(grid)
+    n = grid.n_vertices
+    assert perms.shape[1] == n and 1 <= len(perms) <= 8
+    assert np.array_equal(perms[0], np.arange(n))
+    edges = {tuple(e) for e in np.sort(grid.edges, axis=1).tolist()}
+    for p in perms:
+        assert np.array_equal(np.sort(p), np.arange(n))  # active set onto itself
+        assert {tuple(e) for e in np.sort(p[grid.edges], axis=1).tolist()} == edges
+    found = {tuple(p) for p in perms.tolist()}
+    assert len(found) == len(perms)
+    assert all(tuple(p[q]) in found for p, q in itertools.product(perms, perms))
+    assert found == symmetries_oracle(grid)
+
+
+@pytest.mark.parametrize("fixture, order", [("annulus", 8), ("offset_annulus", 1), ("two_holes", 4)])
+def test_lattice_symmetries_of_fixtures(request, fixture, order):
+    assert len(lattice_symmetries(request.getfixturevalue(fixture))) == order
