@@ -13,6 +13,7 @@ from .config import load_config
 from .errors import ConfigError, FluxlabError
 from .experiments import (
     discretize,
+    require_one_hole,
     run_circle_check,
     run_cover_equivalence,
     run_flux_sweep,
@@ -23,6 +24,7 @@ from .experiments import (
 )
 
 _EXPERIMENTS = ("sweep", "circle", "slit", "multiplicity", "cover", "nodal")
+_ONE_HOLE = ("slit", "multiplicity")
 
 
 def _parser():
@@ -42,17 +44,17 @@ def _parser():
 
 def _dispatch(name, cfg, out, refine, lattice):
     if name == "sweep":
-        return run_flux_sweep(cfg, out_dir=out, lattice=lattice)[1]
+        return run_flux_sweep(cfg, lattice, out_dir=out)[1]
     if name == "circle":
         return run_circle_check(cfg, out_dir=out)[1]
     if name == "slit":
-        return run_slit_infimum(cfg, out_dir=out, refine=refine, lattice=lattice)[1]
+        return run_slit_infimum(cfg, lattice, out_dir=out, refine=refine)[1]
     if name == "multiplicity":
-        return run_multiplicity_experiment(cfg, out_dir=out, lattice=lattice)
+        return run_multiplicity_experiment(cfg, lattice, out_dir=out)
     if name == "cover":
-        return run_cover_equivalence(cfg, out_dir=out, lattice=lattice)[1]
+        return run_cover_equivalence(cfg, lattice, out_dir=out)[1]
     if name == "nodal":
-        return run_nodal(cfg, out_dir=out, lattice=lattice)[1]
+        return run_nodal(cfg, lattice, out_dir=out)[1]
     raise ValueError(name)
 
 
@@ -68,9 +70,11 @@ def cli_main(argv=None) -> int:
     names = _EXPERIMENTS if args.command == "all" else (args.command,)
     if args.command == "all" and cfg.domain.k != 1:
         # the slit identity and the symmetric-pair study are one-hole claims
-        names = tuple(n for n in names if n not in ("slit", "multiplicity"))
+        names = tuple(n for n in names if n not in _ONE_HOLE)
     verdicts = []
     try:
+        for name in set(names) & set(_ONE_HOLE):
+            require_one_hole(cfg, name)  # before a grid that may not build
         # one grid and potential for every experiment but the circle's
         lattice = discretize(cfg) if set(names) - {"circle"} else None
         for name in names:

@@ -9,7 +9,6 @@ reads as a list of verified statements.
 from __future__ import annotations
 
 import csv
-import functools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -116,6 +115,12 @@ class Lattice(NamedTuple):
     V: np.ndarray | None
 
 
+def require_one_hole(cfg: ExperimentConfig, experiment: str):
+    """Raise ConfigError unless cfg's domain has exactly one hole."""
+    if cfg.domain.k != 1:
+        raise ConfigError(f"{experiment} experiment needs exactly one hole, got {cfg.domain.k}")
+
+
 def discretize(cfg: ExperimentConfig, domain: DomainSpec = None) -> Lattice:
     """The grid of domain (default cfg.domain) and cfg's potential on it."""
     grid = build_grid(cfg.domain if domain is None else domain)
@@ -130,15 +135,15 @@ class _Spectrum(NamedTuple):
 
 
 class _SweepSolver:
-    """Caches flux -> _Spectrum for one grid and potential (default: cfg's).
+    """Caches flux -> _Spectrum for one grid and potential.
 
     A flux whose solve raised NoConvergence caches the exception, with a
     _Spectrum as its best result, and every solve of that flux raises it.
     """
 
-    def __init__(self, cfg: ExperimentConfig, lattice: Lattice = None):
+    def __init__(self, cfg: ExperimentConfig, lattice: Lattice):
         self.cfg = cfg
-        self.grid, self.V = lattice if lattice is not None else discretize(cfg)
+        self.grid, self.V = lattice
         self.cache = {}
 
     def _compute(self, key):
@@ -176,7 +181,7 @@ def _sweep_fluxes(ts, k):
     return list(ts) + extra + ([0.5, 0.45] if k == 1 else [])
 
 
-def run_flux_sweep(cfg: ExperimentConfig, out_dir=None, lattice: Lattice = None):
+def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Sweep the flux and check periodicity, flip symmetry, the strict
     zero-flux minimum and (one hole) maximality at half flux."""
     sw = _SweepSolver(cfg, lattice)
@@ -335,24 +340,28 @@ def run_circle_check(cfg: ExperimentConfig, out_dir=None):
 
 
 def _slit_family(cfg: ExperimentConfig, grid):
-    """One zero-argument callable per slit of the family, which makes that slit."""
+    """The SlitPath of every slit of the family."""
     m = cfg.slit.count
     if m <= 0:
         raise EmptyFamily("slit family is empty")
     hole = cfg.slit.hole
     if cfg.slit.mode == "radial":
-        return [functools.partial(radial_slit, grid, hole, 2.0 * np.pi * j / m) for j in range(m)]
+        return [radial_slit(grid, hole, 2.0 * np.pi * j / m) for j in range(m)]
     outer = grid.boundary_vertices(0)
     picks = outer[np.linspace(0, outer.size - 1, m).astype(int)]
-    return [functools.partial(shortest_slit, grid, hole, int(v)) for v in picks]
+    return [shortest_slit(grid, hole, int(v)) for v in picks]
 
 
-def _slit_orbits(slits, group):
-    """For each slit, the index of the first slit of its orbit under group.
+def _slit_orbits(slits, grid, V):
+    """For each slit, the index of the first slit of its orbit under the
+    lattice symmetries that keep V (None: zero) bit for bit.
 
-    A slit's key is the least sorted image of its vertex set over the group,
+    A slit's key is the least sorted image of its vertex set over them,
     so two slits share a key iff a symmetry maps one vertex set onto the other.
     """
+    group = lattice_symmetries(grid)
+    if V is not None:
+        group = group[[np.array_equal(V[p], V) for p in group]]
     first, orbit = {}, []
     for j, slit in enumerate(slits):
         images = np.sort(group[:, list(slit.vertices)], axis=1)
@@ -367,8 +376,7 @@ def _slit_minimum(cfg: ExperimentConfig, lattice: Lattice):
     vertex set.  So slits that a lattice symmetry keeping V maps onto each
     other have matrices equal up to a renumbering of the unknowns, and one
     solve serves each orbit.  The half-flux solve and the first slit of each
-    orbit are one _fan_out batch; with no symmetry but the identity every
-    slit is its own orbit, and each is made in its worker.
+    orbit are one _fan_out batch.
     """
     grid, V = lattice
     s = cfg.solver
@@ -378,19 +386,11 @@ def _slit_minimum(cfg: ExperimentConfig, lattice: Lattice):
         if slit is None:
             H, size = antisymmetric_block(_half_flux_cover(grid), V=V), None
         else:
-            slit = slit() if callable(slit) else slit
             H, size = assemble_slit(grid, zf, V=V, slit=slit), len(slit.vertices)
         return size, float(lowest_eigenpairs(H, 1, tol=s.tol, seed=s.seed).eigenvalues[0])
 
     family = _slit_family(cfg, grid)
-    orbit = list(range(len(family)))
-    group = lattice_symmetries(grid)
-    if V is not None:
-        group = group[[np.array_equal(V[p], V) for p in group]]
-    if len(group) > 1:
-        family = [make_slit() for make_slit in family]
-        orbit = _slit_orbits(family, group)
-    del group  # n ints per symmetry: free them before the workers fork
+    orbit = _slit_orbits(family, grid, V)
     firsts = sorted(set(orbit))
     (_, lam_mag), *solved = _fan_out(solve, [None] + [family[j] for j in firsts])
     # every slit has its orbit's lambda1 and vertex count
@@ -399,16 +399,15 @@ def _slit_minimum(cfg: ExperimentConfig, lattice: Lattice):
     return lam_mag, rows
 
 
-def run_slit_infimum(cfg: ExperimentConfig, out_dir=None, refine=False, lattice: Lattice = None):
+def run_slit_infimum(cfg: ExperimentConfig, lattice: Lattice, out_dir=None, refine=False):
     """Minimum of the slit-pinned zero-field ground energy over a slit family
     against the half-flux ground energy, with an optional two-grid check.
 
     Defined for one hole: a single boundary-to-boundary slit only slits a
     one-hole domain.
     """
-    if cfg.domain.k != 1:
-        raise ConfigError(f"slit experiment needs exactly one hole, got {cfg.domain.k}")
-    lam_mag, rows = _slit_minimum(cfg, lattice if lattice is not None else discretize(cfg))
+    require_one_hole(cfg, "slit")
+    lam_mag, rows = _slit_minimum(cfg, lattice)
     lams = np.array([r[2] for r in rows])
     lam_min = float(lams.min())
     gap = lam_min - lam_mag
@@ -486,13 +485,12 @@ def _half_flux_ground(cfg: ExperimentConfig, V, grid):
     return cover, r, mult
 
 
-def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None, lattice: Lattice = None):
+def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Ground multiplicity at half flux: two on a centrally symmetric
     domain and one on any other, one once a potential bump breaks the
     symmetry, never above two for a single hole."""
-    if cfg.domain.k != 1:
-        raise ConfigError(f"multiplicity experiment needs exactly one hole, got {cfg.domain.k}")
-    grid, V = lattice if lattice is not None else discretize(cfg)
+    require_one_hole(cfg, "multiplicity")
+    grid, V = lattice
     s = cfg.solver
     verdicts = []
 
@@ -547,7 +545,7 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, out_dir=None, lattice: La
     return verdicts
 
 
-def run_cover_equivalence(cfg: ExperimentConfig, out_dir=None, lattice: Lattice = None):
+def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Magnetic spectrum == antisymmetric lifted spectrum; symmetric lifted
     spectrum == zero-flux spectrum; the lift intertwines eigenpairs."""
     s = cfg.solver
@@ -569,7 +567,7 @@ def run_cover_equivalence(cfg: ExperimentConfig, out_dir=None, lattice: Lattice 
     rows.append(("circle-magnetic",) + tuple(float(x) for x in rmag.eigenvalues))
 
     # the domain at half flux
-    grid, V = lattice if lattice is not None else discretize(cfg)
+    grid, V = lattice
     field = aharonov_bohm_potential(grid, [0.5] * grid.k)
     H = assemble_magnetic(grid, field, V=V)
     r = lowest_eigenpairs(H, 3, tol=s.tol, seed=s.seed)
@@ -637,10 +635,10 @@ def run_cover_equivalence(cfg: ExperimentConfig, out_dir=None, lattice: Lattice 
     return rows, verdicts
 
 
-def run_nodal(cfg: ExperimentConfig, out_dir=None, lattice: Lattice = None):
+def run_nodal(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Extract the half-flux ground nodal sets and verify the slitting
     topology claims on the reports."""
-    grid, V = lattice if lattice is not None else discretize(cfg)
+    grid, V = lattice
     cov, r, mult = _half_flux_ground(cfg, V, grid)
 
     verdicts = []

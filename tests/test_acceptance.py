@@ -18,6 +18,7 @@ from fluxlab.experiments import (
     _SweepSolver,
     _sweep_fluxes,
     circle_exact,
+    discretize,
     run_cover_equivalence,
     run_nodal,
     run_slit_infimum,
@@ -48,7 +49,7 @@ def two_holes_cfg():
 
 @pytest.fixture(scope="module")
 def sweep(annulus_cfg):
-    sw = _SweepSolver(annulus_cfg)
+    sw = _SweepSolver(annulus_cfg, discretize(annulus_cfg))
     sw.prefetch(_sweep_fluxes(annulus_cfg.sweep_values(), sw.grid.k))
     return sw
 
@@ -135,7 +136,7 @@ def test_criterion_4_one_hole_maximality(sweep, annulus_cfg):
 
 
 def test_criterion_5_cover_equivalence(annulus_cfg):
-    _, verdicts = run_cover_equivalence(annulus_cfg)
+    _, verdicts = run_cover_equivalence(annulus_cfg, discretize(annulus_cfg))
     by_name = {v.name: v for v in verdicts}
     anti = by_name["antisymmetric-spectrum-equality"]
     inter = by_name["lift-intertwines-eigenpairs"]
@@ -169,7 +170,7 @@ def test_criterion_7_nodal_slitting(annulus_cfg, two_holes_cfg):
     details = []
     ok = True
     for cfg, label in ((annulus_cfg, "one hole"), (two_holes_cfg, "two holes")):
-        reports, verdicts = run_nodal(cfg)
+        reports, verdicts = run_nodal(cfg, discretize(cfg))
         for rep in reports:
             ok = ok and rep.passes_slitting and rep.bounds_ok and rep.cover_domain_count == 2
             ok = ok and (rep.passes_slitting == (rep.cover_domain_count == 2))
@@ -211,7 +212,7 @@ def test_criterion_8_degenerate_pair_disjoint(half_flux_lab, annulus_cfg):
 
 
 def test_criterion_9_slit_infimum(annulus_cfg):
-    _, verdicts = run_slit_infimum(annulus_cfg, refine=True)
+    _, verdicts = run_slit_infimum(annulus_cfg, discretize(annulus_cfg), refine=True)
     by_name = {v.name: v for v in verdicts}
     ok = all(v.passed for v in verdicts)
     verdict(

@@ -212,7 +212,7 @@ def test_table_potential(tmp_path):
 
 
 def test_flux_sweep_verdicts(coarse_cfg, tmp_path):
-    rows, verdicts = run_flux_sweep(coarse_cfg, out_dir=tmp_path)
+    rows, verdicts = run_flux_sweep(coarse_cfg, discretize(coarse_cfg), out_dir=tmp_path)
     assert len(rows) == 5
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
     names = {v.name for v in verdicts}
@@ -223,7 +223,7 @@ def test_flux_sweep_verdicts(coarse_cfg, tmp_path):
 
 
 def test_sweep_rows_ordered(coarse_cfg):
-    rows, _ = run_flux_sweep(coarse_cfg)
+    rows, _ = run_flux_sweep(coarse_cfg, discretize(coarse_cfg))
     for row in rows:
         lam1, lam2, lam3 = row[1:4]
         assert lam1 <= lam2 + 1e-12 <= lam3 + 2e-12
@@ -232,8 +232,8 @@ def test_sweep_rows_ordered(coarse_cfg):
 def test_csv_deterministic(coarse_cfg, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
-    run_flux_sweep(coarse_cfg, out_dir=a)
-    run_flux_sweep(coarse_cfg, out_dir=b)
+    run_flux_sweep(coarse_cfg, discretize(coarse_cfg), out_dir=a)
+    run_flux_sweep(coarse_cfg, discretize(coarse_cfg), out_dir=b)
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
@@ -280,9 +280,9 @@ def test_pooled_runs_match_one_cpu(coarse_cfg, tmp_path, monkeypatch):
         usable_cpus(monkeypatch, n)
         out = tmp_path / f"cpus{n}"
         out.mkdir()
-        sweep_rows, sweep_verdicts = run_flux_sweep(coarse_cfg, out_dir=out)
+        sweep_rows, sweep_verdicts = run_flux_sweep(coarse_cfg, discretize(coarse_cfg), out_dir=out)
         assert multiprocessing.active_children() == []
-        slit_rows, slit_verdicts = run_slit_infimum(coarse_cfg, out_dir=out, refine=True)
+        slit_rows, slit_verdicts = run_slit_infimum(coarse_cfg, discretize(coarse_cfg), out_dir=out, refine=True)
         assert multiprocessing.active_children() == []
         lines = [v.line() for v in sweep_verdicts + slit_verdicts]
         outputs.append((sweep_rows, slit_rows, lines, (out / "sweep.csv").read_bytes(), (out / "slit.csv").read_bytes()))
@@ -335,7 +335,7 @@ def test_sweep_failure_through_the_pool(holes, flux, coarse_cfg, tmp_path, monke
         out = tmp_path / f"cpus{n}"
         out.mkdir()
         try:
-            rows, verdicts = run_flux_sweep(cfg, out_dir=out)
+            rows, verdicts = run_flux_sweep(cfg, discretize(cfg), out_dir=out)
         except NoConvergence as exc:
             outcomes.append(("raised", str(exc), exc.best_result.eigenvalues.tobytes()))
         else:
@@ -371,7 +371,7 @@ def test_circle_check(coarse_cfg, tmp_path):
 
 
 def test_slit_infimum(coarse_cfg, tmp_path):
-    rows, verdicts = run_slit_infimum(coarse_cfg, out_dir=tmp_path, refine=True)
+    rows, verdicts = run_slit_infimum(coarse_cfg, discretize(coarse_cfg), out_dir=tmp_path, refine=True)
     assert len(rows) == 8
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
     assert {v.name for v in verdicts} == {
@@ -385,7 +385,7 @@ def test_slit_shortest_mode(tmp_path):
     p = tmp_path / "s.cfg"
     p.write_text(COARSE.format(epsilon="0.01", slit_mode="shortest"))
     cfg = load_config(p)
-    rows, verdicts = run_slit_infimum(cfg)
+    rows, verdicts = run_slit_infimum(cfg, discretize(cfg))
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
 
 
@@ -393,7 +393,7 @@ def test_slit_infimum_off_center():
     # no lattice mirror fixes an off-center slit, so the gap is genuinely
     # O(h): tight at the calibrated spacing and halving under refinement
     cfg = load_config("configs/annulus_offset.cfg")
-    _, verdicts = run_slit_infimum(cfg, refine=True)
+    _, verdicts = run_slit_infimum(cfg, discretize(cfg), refine=True)
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
     tight = next(v for v in verdicts if v.name == "slit-infimum-tightness")
     assert "relative gap" in tight.detail
@@ -423,7 +423,7 @@ def test_slits_of_one_orbit_have_permuted_matrices(annulus):
     V = (grid.xy**2).sum(axis=1)  # x^2 + y^2: every symmetry keeps it bit for bit
     assert len(group) == 8 and all(np.array_equal(V[p], V) for p in group)
     slits = radial_family(grid)
-    orbit = _slit_orbits(slits, group)
+    orbit = _slit_orbits(slits, grid, V)
     zf = fl.zero_field(grid)
     pairs = [(i, j) for j, i in enumerate(orbit) if i != j]
     assert len(pairs) == len(slits) - len(set(orbit)) > 0
@@ -486,11 +486,11 @@ def test_slit_empty_family(coarse_cfg):
     cfg = dataclasses.replace(coarse_cfg)
     cfg.slit = dataclasses.replace(cfg.slit, count=0)
     with pytest.raises(EmptyFamily):
-        run_slit_infimum(cfg)
+        run_slit_infimum(cfg, discretize(cfg))
 
 
 def test_multiplicity_experiment(coarse_cfg, tmp_path):
-    verdicts = run_multiplicity_experiment(coarse_cfg, out_dir=tmp_path)
+    verdicts = run_multiplicity_experiment(coarse_cfg, discretize(coarse_cfg), out_dir=tmp_path)
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
 
 
@@ -499,18 +499,19 @@ def test_multiplicity_off_center_hole_wants_simple_ground(tmp_path):
     p = tmp_path / "offset.cfg"
     text = COARSE.format(epsilon="0.01", slit_mode="radial")
     p.write_text(text.replace("hole1 = disk 0.0 0.0 0.3", "hole1 = disk 0.25 0.1 0.25"))
-    verdicts = run_multiplicity_experiment(load_config(p))
+    cfg = load_config(p)
+    verdicts = run_multiplicity_experiment(cfg, discretize(cfg))
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
     assert "multiplicity 1 (want 1" in verdicts[0].detail
 
 
 def test_cover_equivalence(coarse_cfg, tmp_path):
-    rows, verdicts = run_cover_equivalence(coarse_cfg, out_dir=tmp_path)
+    rows, verdicts = run_cover_equivalence(coarse_cfg, discretize(coarse_cfg), out_dir=tmp_path)
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
 
 
 def test_nodal_experiment(coarse_cfg, tmp_path):
-    reports, verdicts = run_nodal(coarse_cfg, out_dir=tmp_path)
+    reports, verdicts = run_nodal(coarse_cfg, discretize(coarse_cfg), out_dir=tmp_path)
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
     svg = (tmp_path / "nodal.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
@@ -561,6 +562,15 @@ def test_cli_bad_value_exits_2(tmp_path, section, line):
     with pytest.raises(ConfigError):
         load_config(cfgp)
     assert cli_main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("command", ["slit", "multiplicity"])
+@pytest.mark.parametrize("radius", ["0.2", "0.01"], ids=["grid-builds", "grid-too-coarse"])
+def test_cli_one_hole_experiment_on_two_holes_exits_2(tmp_path, command, radius):
+    # the one-hole check comes before the grid, which need not build
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(TWO_HOLES_COARSE.replace("0.5 0.2", f"0.5 {radius}"))
+    assert cli_main([command, "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
 
 
 def test_cli_all_coarse(tmp_path):
