@@ -246,8 +246,15 @@ def load_config(path, *, _referenced_by=None) -> ExperimentConfig:
         raise ConfigError(f"[solver] count must be at least 1, got {solver.count}")
     if not (solver.tol > 0 and solver.cluster_tol > 0):
         raise ConfigError("[solver] tol and cluster_tol must be positive")
-    if s["slit"].mode not in ("radial", "shortest"):
-        raise ConfigError(f"unknown slit mode {s['slit'].mode!r}")
+    slit = s["slit"]
+    if slit.mode not in ("radial", "shortest"):
+        raise ConfigError(f"unknown slit mode {slit.mode!r}")
+    if slit.count < 1:
+        raise ConfigError(f"[slit] count must be at least 1, got {slit.count}")
+    if domain.k >= 1 and not 1 <= slit.hole <= domain.k:
+        raise ConfigError(f"[slit] hole {slit.hole} outside 1..{domain.k}")
+    if s["circle"].points < 64:
+        raise ConfigError(f"[circle] points must be at least 64, got {s['circle'].points}")
 
     kind = _value(cp, "potential", "kind", ExperimentConfig.potential_kind)
     return ExperimentConfig(

@@ -59,8 +59,8 @@ def write_csv(path, header, rows):
             w.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row])
 
 
-def write_verdicts(path, verdicts, append=False):
-    with open(path, "a" if append else "w") as f:
+def write_verdicts(path, verdicts):
+    with open(path, "w") as f:
         for v in verdicts:
             f.write(v.line() + "\n")
 
@@ -134,22 +134,18 @@ class _Spectrum(NamedTuple):
     residuals: np.ndarray
 
 
-class _SweepSolver:
-    """Caches flux -> _Spectrum for one grid and potential.
+def _sweep_spectra(cfg: ExperimentConfig, lattice: Lattice, fluxes) -> dict:
+    """{flux: _Spectrum} for every flux, keyed by the flux rounded to 12
+    digits, solved as one _fan_out batch.
 
-    A flux whose solve raised NoConvergence caches the exception, with a
-    _Spectrum as its best result, and every solve of that flux raises it.
+    A flux whose solve raised NoConvergence maps to that exception, with a
+    _Spectrum as its best result.
     """
+    grid, V = lattice
+    s = cfg.solver
 
-    def __init__(self, cfg: ExperimentConfig, lattice: Lattice):
-        self.cfg = cfg
-        self.grid, self.V = lattice
-        self.cache = {}
-
-    def _compute(self, key):
-        field = aharonov_bohm_potential(self.grid, [key] * self.grid.k)
-        H = assemble_magnetic(self.grid, field, V=self.V)
-        s = self.cfg.solver
+    def solve(t):
+        H = assemble_magnetic(grid, aharonov_bohm_potential(grid, [t] * grid.k), V=V)
         try:
             r = lowest_eigenpairs(H, s.count, tol=s.tol, seed=s.seed)
         except NoConvergence as exc:
@@ -158,60 +154,55 @@ class _SweepSolver:
             return exc
         return _Spectrum(r.eigenvalues, r.residuals)
 
-    def prefetch(self, ts):
-        """Solve every flux of ts not cached yet, as one _fan_out batch."""
-        keys = [k for k in dict.fromkeys(round(float(t), 12) for t in ts) if k not in self.cache]
-        self.cache.update(zip(keys, _fan_out(self._compute, keys)))
+    keys = list(dict.fromkeys(round(float(t), 12) for t in fluxes))
+    return dict(zip(keys, _fan_out(solve, keys)))
 
-    def solve(self, t: float):
-        self.prefetch([t])
-        r = self.cache[round(float(t), 12)]
-        if isinstance(r, NoConvergence):
-            raise r
-        return r
 
-    def lam1(self, t: float) -> float:
-        return float(self.solve(t).eigenvalues[0])
+# the flux pairs that the periodicity and half-flux-symmetry verdicts
+# compare, and (one hole) the fluxes of the maximality verdict
+_SHIFT_PAIRS = tuple((t, t + 1.0) for t in (0.1, 0.2, 0.3, 0.4))
+_FLIP_PAIRS = tuple((0.5 + t, 0.5 - t) for t in (0.1, 0.2, 0.3, 0.4))
+_PEAK = (0.5, 0.45)
 
 
 def _sweep_fluxes(ts, k):
     """Every flux that run_flux_sweep's rows and verdicts read."""
-    offsets = (0.1, 0.2, 0.3, 0.4)
-    extra = [t + 1.0 for t in offsets] + [0.5 + t for t in offsets] + [0.5 - t for t in offsets] + [0.0]
-    return list(ts) + extra + ([0.5, 0.45] if k == 1 else [])
+    pairs = _SHIFT_PAIRS + _FLIP_PAIRS
+    return list(ts) + [t for pair in pairs for t in pair] + [0.0] + (list(_PEAK) if k == 1 else [])
 
 
 def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Sweep the flux and check periodicity, flip symmetry, the strict
     zero-flux minimum and (one hole) maximality at half flux."""
-    sw = _SweepSolver(cfg, lattice)
+    grid = lattice.grid
     s = cfg.solver
     ts = cfg.sweep_values()
-    sw.prefetch(_sweep_fluxes(ts, sw.grid.k))
+    spectra = _sweep_spectra(cfg, lattice, _sweep_fluxes(ts, grid.k))
+
+    def lam1(t):
+        r = spectra[round(float(t), 12)]
+        if isinstance(r, NoConvergence):
+            raise r
+        return float(r.eigenvalues[0])
+
     rows = []
     for t in ts:
-        try:
-            r = sw.solve(t)
-        except NoConvergence as exc:  # record the failed row, keep sweeping
-            best = exc.best_result
-            rows.append(
-                tuple([t] * sw.grid.k)
-                + tuple(float(x) for x in best.eigenvalues[:3])
-                + (-1, float(np.max(best.residuals)))
-            )
-            continue
-        lam = r.eigenvalues
+        # a flux that did not converge keeps its row: its best result and multiplicity -1
+        r = spectra[round(float(t), 12)]
+        failed = isinstance(r, NoConvergence)
+        best = r.best_result if failed else r
+        mult = -1 if failed else multiplicity_estimate(best.eigenvalues, s.cluster_tol)
         rows.append(
-            tuple([t] * sw.grid.k)
-            + tuple(float(x) for x in lam[:3])
-            + (multiplicity_estimate(lam, s.cluster_tol), float(np.max(r.residuals)))
+            tuple([t] * grid.k)
+            + tuple(float(x) for x in best.eigenvalues[:3])
+            + (mult, float(np.max(best.residuals)))
         )
 
+    def max_deviation(pairs):
+        return max(abs(lam1(a) - lam1(b)) / (1.0 + abs(lam1(a))) for a, b in pairs)
+
     verdicts = []
-    shift_pairs = [(t, t + 1.0) for t in (0.1, 0.2, 0.3, 0.4)]
-    dev = max(
-        abs(sw.lam1(a) - sw.lam1(b)) / (1.0 + abs(sw.lam1(a))) for a, b in shift_pairs
-    )
+    dev = max_deviation(_SHIFT_PAIRS)
     verdicts.append(
         Verdict(
             "periodicity",
@@ -219,10 +210,7 @@ def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
             f"lambda1(flux) = lambda1(flux+1): max relative deviation {dev:.3e} (tol 1e-10)",
         )
     )
-    dev = max(
-        abs(sw.lam1(0.5 + t) - sw.lam1(0.5 - t)) / (1.0 + abs(sw.lam1(0.5 + t)))
-        for t in (0.1, 0.2, 0.3, 0.4)
-    )
+    dev = max_deviation(_FLIP_PAIRS)
     verdicts.append(
         Verdict(
             "half-flux-symmetry",
@@ -230,9 +218,9 @@ def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
             f"lambda1(1/2+t) = lambda1(1/2-t): max relative deviation {dev:.3e} (tol 1e-10)",
         )
     )
-    lam0 = sw.lam1(0.0)
+    lam0 = lam1(0.0)
     noninteger = [t for t in ts if min(abs(t - round(t)), 1.0) > 1e-9]
-    margins = {t: sw.lam1(t) - lam0 for t in noninteger}
+    margins = {t: lam1(t) - lam0 for t in noninteger}
     min_margin = min(margins.values()) if margins else np.inf
     margin_quarter = margins.get(0.25, np.nan)
     verdicts.append(
@@ -243,21 +231,21 @@ def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
             f"margin at flux 0.25 = {margin_quarter:.3e}",
         )
     )
-    if sw.grid.k == 1:
-        lam_by_t = {t: sw.lam1(t) for t in ts}
+    if grid.k == 1:
+        lam_by_t = {t: lam1(t) for t in ts}
         t_max = max(lam_by_t, key=lam_by_t.get)
-        ok = abs(t_max - 0.5) < 1e-12 and sw.lam1(0.5) - sw.lam1(0.45) > 0
+        rise = lam1(_PEAK[0]) - lam1(_PEAK[1])
         verdicts.append(
             Verdict(
                 "maximality-at-half-flux",
-                bool(ok),
+                bool(abs(t_max - _PEAK[0]) < 1e-12 and rise > 0),
                 f"argmax of lambda1 over the sweep at flux {t_max}; "
-                f"lambda1(0.5)-lambda1(0.45) = {sw.lam1(0.5) - sw.lam1(0.45):.3e}",
+                f"lambda1(0.5)-lambda1(0.45) = {rise:.3e}",
             )
         )
 
     if out_dir:
-        header = [f"flux{i + 1}" for i in range(sw.grid.k)] + [
+        header = [f"flux{i + 1}" for i in range(grid.k)] + [
             "lambda1",
             "lambda2",
             "lambda3",
@@ -352,16 +340,28 @@ def _slit_family(cfg: ExperimentConfig, grid):
     return [shortest_slit(grid, hole, int(v)) for v in picks]
 
 
-def _slit_orbits(slits, grid, V):
+def _symmetries(lattice: Lattice) -> np.ndarray:
+    """The rows of lattice_symmetries(grid) that keep V (None: zero) bit for bit."""
+    grid, V = lattice
+    group = lattice_symmetries(grid)
+    return group if V is None else group[[np.array_equal(V[p], V) for p in group]]
+
+
+def _centrally_symmetric(lattice: Lattice) -> bool:
+    """Whether a lattice symmetry that keeps V is the point reflection:
+    a row p for which grid.ij[p] + grid.ij is constant."""
+    ij = lattice.grid.ij
+    return any((ij[p] + ij == ij[p[0]] + ij[0]).all() for p in _symmetries(lattice))
+
+
+def _slit_orbits(slits, lattice: Lattice):
     """For each slit, the index of the first slit of its orbit under the
-    lattice symmetries that keep V (None: zero) bit for bit.
+    lattice symmetries that keep V.
 
     A slit's key is the least sorted image of its vertex set over them,
     so two slits share a key iff a symmetry maps one vertex set onto the other.
     """
-    group = lattice_symmetries(grid)
-    if V is not None:
-        group = group[[np.array_equal(V[p], V) for p in group]]
+    group = _symmetries(lattice)
     first, orbit = {}, []
     for j, slit in enumerate(slits):
         images = np.sort(group[:, list(slit.vertices)], axis=1)
@@ -390,7 +390,7 @@ def _slit_minimum(cfg: ExperimentConfig, lattice: Lattice):
         return size, float(lowest_eigenpairs(H, 1, tol=s.tol, seed=s.seed).eigenvalues[0])
 
     family = _slit_family(cfg, grid)
-    orbit = _slit_orbits(family, grid, V)
+    orbit = _slit_orbits(family, lattice)
     firsts = sorted(set(orbit))
     (_, lam_mag), *solved = _fan_out(solve, [None] + [family[j] for j in firsts])
     # every slit has its orbit's lambda1 and vertex count
@@ -486,9 +486,10 @@ def _half_flux_ground(cfg: ExperimentConfig, V, grid):
 
 
 def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
-    """Ground multiplicity at half flux: two on a centrally symmetric
-    domain and one on any other, one once a potential bump breaks the
-    symmetry, never above two for a single hole."""
+    """Ground multiplicity at half flux: two when a lattice symmetry that
+    keeps V is the point reflection (the domain is centrally symmetric) and
+    one otherwise, one once a potential bump breaks the symmetry, never
+    above two for a single hole."""
     require_one_hole(cfg, "multiplicity")
     grid, V = lattice
     s = cfg.solver
@@ -496,8 +497,8 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
 
     _, r, mult = _half_flux_ground(cfg, V, grid)
     width = s.cluster_tol * (1.0 + abs(r.eigenvalues[0]))
-    gap_above = float(r.eigenvalues[min(mult, len(r.eigenvalues) - 1)] - r.eigenvalues[mult - 1]) if mult < len(r.eigenvalues) else np.nan
-    symmetric = cfg.domain.is_centrally_symmetric()
+    gap_above = float(r.eigenvalues[mult] - r.eigenvalues[mult - 1]) if mult < len(r.eigenvalues) else np.nan
+    symmetric = _centrally_symmetric(lattice)
     want = 2 if symmetric else 1
     verdicts.append(
         Verdict(
@@ -508,14 +509,13 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
             f"{gap_above:.3e} >= 10x cluster width {width:.3e}",
         )
     )
-    if grid.k == 1:
-        verdicts.append(
-            Verdict(
-                "one-hole-multiplicity-bound",
-                mult <= 2,
-                f"multiplicity {mult} <= 2 for one hole",
-            )
+    verdicts.append(
+        Verdict(
+            "one-hole-multiplicity-bound",
+            mult <= 2,
+            f"multiplicity {mult} <= 2 for one hole",
         )
+    )
 
     mu = cfg.multiplicity
     bump_center = (mu.bump_radius * np.cos(mu.bump_angle), mu.bump_radius * np.sin(mu.bump_angle))
@@ -552,7 +552,7 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
     verdicts = []
     rows = []
 
-    def spectra_close(a, b, tol=1e-8):
+    def spectra_close(a, b):
         a, b = np.asarray(a), np.asarray(b)
         return float(np.max(np.abs(a - b) / (np.abs(b) + 1e-9))) if a.size else 0.0
 

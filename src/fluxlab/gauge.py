@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, MissingEdge
-from .geometry import GridDomain, LatticeLoop, wrap_angle
+from .geometry import GridDomain, LatticeLoop, full_cells, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,7 @@ def plaquette_sums(field: LinkField) -> np.ndarray:
     from the lower-left corner: +x bottom, +y right, -x top, -y left.
     """
     grid = field.grid
-    act = grid._vid >= 0
-    cells = act[:-1, :-1] & act[1:, :-1] & act[:-1, 1:] & act[1:, 1:]
-    ca, cb = np.nonzero(cells)
+    ca, cb = np.nonzero(full_cells(grid._active))
     ex, ey = grid._edge_raster
     th = field.theta
     return th[ex[ca, cb]] + th[ey[ca + 1, cb]] - th[ex[ca, cb + 1]] - th[ey[ca, cb]]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -118,17 +118,6 @@ def outer_margin(outer, hole):
     return outer.r - max(math.hypot(cx - outer.cx, cy - outer.cy) for cx, cy in corners)
 
 
-def _reflected(shape, cx, cy):
-    """Image of a shape under the point reflection through (cx, cy)."""
-    if isinstance(shape, Disk):
-        return Disk(2 * cx - shape.cx, 2 * cy - shape.cy, shape.r)
-    return Rect(2 * cx - shape.x1, 2 * cy - shape.y1, 2 * cx - shape.x0, 2 * cy - shape.y0)
-
-
-def _same_shape(a, b):
-    return type(a) is type(b) and all(abs(p - q) <= EPS for p, q in zip(astuple(a), astuple(b)))
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """Analytic description of a domain: outer shape, holes, grid step."""
@@ -145,19 +134,6 @@ class DomainSpec:
     @property
     def k(self):
         return len(self.holes)
-
-    def is_centrally_symmetric(self) -> bool:
-        """Whether z -> 2c - z, with c the center of the outer shape, maps the
-        holes and the lattice spacing*Z^2 onto themselves (the outer shape
-        always is).  Then the discretized domain shares the symmetry too."""
-        cx, cy = self.outer.reference_point()
-        steps = (2 * cx / self.spacing, 2 * cy / self.spacing)
-        if any(abs(s - round(s)) > EPS for s in steps):
-            return False
-        return all(
-            any(_same_shape(_reflected(hole, cx, cy), other) for other in self.holes)
-            for hole in self.holes
-        )
 
     def validate(self):
         """Check the analytic invariants; raise SpecTooCoarse on violation."""
@@ -306,6 +282,11 @@ def label_components(mask, diagonal=False):
     return labels, int(count)
 
 
+def full_cells(mask):
+    """The (ni - 1, nj - 1) raster of lattice cells whose four corners all lie in mask."""
+    return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
+
+
 def build_grid(spec: DomainSpec) -> GridDomain:
     """Discretize a DomainSpec on the lattice spacing*Z^2.
 
@@ -362,9 +343,7 @@ def build_grid(spec: DomainSpec) -> GridDomain:
 
     # every hole must contain at least one fully excluded cell
     for idx in range(spec.k):
-        m = excl == idx + 1
-        cells = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
-        if not cells.any():
+        if not full_cells(excl == idx + 1).any():
             raise SpecTooCoarse(f"hole {idx + 1} contains no fully excluded cell")
 
     # vertex table in lexicographic (i, j) order

@@ -21,7 +21,7 @@ from scipy import sparse
 from .cover import CoverGraph, CoverPhase, build_theta, lift_to_cover
 from .eigensolver import multiplicity_estimate
 from .errors import NoSignChange, PreconditionViolated
-from .geometry import GridDomain, label_components
+from .geometry import GridDomain, full_cells, label_components
 
 
 @dataclass
@@ -109,11 +109,6 @@ def _cut_rasters(grid: GridDomain, cover: CoverGraph):
     return cuts[ex], cuts[ey]
 
 
-def _cell_mask(grid: GridDomain):
-    act = grid._vid >= 0
-    return act[:-1, :-1] & act[1:, :-1] & act[:-1, 1:] & act[1:, 1:]
-
-
 def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int = 0) -> NodalSet:
     """Marching-squares zero contour of a real antisymmetric cover function.
 
@@ -139,7 +134,7 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
     vid = grid._vid
     h = grid.spacing
     cx, cy = _cut_rasters(grid, cover)
-    cells = _cell_mask(grid)
+    cells = full_cells(grid._active)
 
     # only cells whose anchored-lift corners differ in sign hold a crossing
     s10 = anchor_sheet ^ cx[:-1, :-1]
@@ -241,7 +236,10 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
 
     def classify(point):
         d2 = np.sum((bxy - point) ** 2, axis=1)
-        t = int(np.argmin(d2))
+        # the lowest-id vertex among the nearest up to round-off: an endpoint
+        # midway between two (on a mirror line) snaps to the same one
+        # whatever its last bits
+        t = int(np.argmax(d2 <= d2.min() + 1e-9 * h * h))
         if d2[t] <= (2.5 * h) ** 2:
             return int(blab[t]), bxy[t]
         return -1, None
@@ -293,8 +291,7 @@ def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:
             else:
                 counts[c] += 1
 
-    cells = _cell_mask(grid)
-    free = cells.copy()
+    free = full_cells(grid._active)
     for a, b in nodal.crossed_cells:
         if 0 <= a < free.shape[0] and 0 <= b < free.shape[1]:
             free[a, b] = False

@@ -15,8 +15,8 @@ import fluxlab as fl
 from fluxlab.config import load_config
 from fluxlab.eigensolver import gershgorin_bounds
 from fluxlab.experiments import (
-    _SweepSolver,
     _sweep_fluxes,
+    _sweep_spectra,
     circle_exact,
     discretize,
     run_cover_equivalence,
@@ -48,16 +48,22 @@ def two_holes_cfg():
 
 
 @pytest.fixture(scope="module")
-def sweep(annulus_cfg):
-    sw = _SweepSolver(annulus_cfg, discretize(annulus_cfg))
-    sw.prefetch(_sweep_fluxes(annulus_cfg.sweep_values(), sw.grid.k))
-    return sw
+def annulus_lattice(annulus_cfg):
+    return discretize(annulus_cfg)
 
 
 @pytest.fixture(scope="module")
-def half_flux_lab(annulus_cfg, sweep):
+def lam1(annulus_cfg, annulus_lattice):
+    """lambda1 by flux over the annulus sweep and the fluxes its verdicts read."""
+    fluxes = _sweep_fluxes(annulus_cfg.sweep_values(), annulus_lattice.grid.k)
+    spectra = _sweep_spectra(annulus_cfg, annulus_lattice, fluxes)
+    return lambda t: float(spectra[round(float(t), 12)].eigenvalues[0])
+
+
+@pytest.fixture(scope="module")
+def half_flux_lab(annulus_lattice):
     """Grid, half-flux field/operator/eigenpairs on the default annulus."""
-    grid = sweep.grid
+    grid = annulus_lattice.grid
     field = fl.aharonov_bohm_potential(grid, [0.5])
     H = fl.assemble_magnetic(grid, field)
     r = fl.lowest_eigenpairs(H, 4, tol=1e-11)
@@ -87,13 +93,13 @@ def test_criterion_1_circle_exact_spectrum():
     )
 
 
-def test_criterion_2_periodicity_and_symmetry(sweep):
+def test_criterion_2_periodicity_and_symmetry(lam1):
     dev_p = max(
-        abs(sweep.lam1(t) - sweep.lam1(t + 1.0)) / (1.0 + abs(sweep.lam1(t)))
+        abs(lam1(t) - lam1(t + 1.0)) / (1.0 + abs(lam1(t)))
         for t in (0.1, 0.2, 0.3, 0.4)
     )
     dev_s = max(
-        abs(sweep.lam1(0.5 + t) - sweep.lam1(0.5 - t)) / (1.0 + abs(sweep.lam1(0.5 + t)))
+        abs(lam1(0.5 + t) - lam1(0.5 - t)) / (1.0 + abs(lam1(0.5 + t)))
         for t in (0.1, 0.2, 0.3, 0.4)
     )
     ok = dev_p <= 1e-10 and dev_s <= 1e-10
@@ -105,11 +111,11 @@ def test_criterion_2_periodicity_and_symmetry(sweep):
     )
 
 
-def test_criterion_3_strict_minimum(sweep, annulus_cfg):
-    lam0 = sweep.lam1(0.0)
+def test_criterion_3_strict_minimum(lam1, annulus_cfg):
+    lam0 = lam1(0.0)
     ts = [t for t in annulus_cfg.sweep_values() if min(abs(t - round(t)), 1.0) > 1e-9]
-    margins = np.array([sweep.lam1(t) - lam0 for t in ts])
-    margin_quarter = sweep.lam1(0.25) - lam0
+    margins = np.array([lam1(t) - lam0 for t in ts])
+    margin_quarter = lam1(0.25) - lam0
     ok = bool(np.all(margins > 0) and margin_quarter >= 1e-6)
     verdict(
         3,
@@ -120,11 +126,11 @@ def test_criterion_3_strict_minimum(sweep, annulus_cfg):
     )
 
 
-def test_criterion_4_one_hole_maximality(sweep, annulus_cfg):
+def test_criterion_4_one_hole_maximality(lam1, annulus_cfg):
     ts = annulus_cfg.sweep_values()
-    lams = {t: sweep.lam1(t) for t in ts}
+    lams = {t: lam1(t) for t in ts}
     t_max = max(lams, key=lams.get)
-    gap = sweep.lam1(0.5) - sweep.lam1(0.45)
+    gap = lam1(0.5) - lam1(0.45)
     ok = t_max == 0.5 and gap > 0
     verdict(
         4,

@@ -15,11 +15,12 @@ from fluxlab.cli import cli_main
 from fluxlab.config import ExperimentConfig, load_config, parse_shape
 from fluxlab.errors import ConfigError, EmptyFamily, NoConvergence
 from fluxlab.experiments import (
-    _SweepSolver,
+    Lattice,
     _fan_out,
     _half_flux_ground,
     _slit_minimum,
     _slit_orbits,
+    _sweep_spectra,
     discretize,
     run_circle_check,
     run_cover_equivalence,
@@ -356,10 +357,10 @@ def test_sweep_cache_keeps_no_eigenvectors(coarse_cfg, monkeypatch):
     lattice = discretize(coarse_cfg)
     stall_eigsh_at(monkeypatch, lattice.grid, 0.25)
     usable_cpus(monkeypatch, 2)
-    sw = _SweepSolver(coarse_cfg, lattice)
-    sw.prefetch([0.0, 0.25, 0.5])
-    assert isinstance(sw.cache[0.25], NoConvergence)
-    for r in (sw.cache[0.0], sw.cache[0.5], sw.cache[0.25].best_result):
+    spectra = _sweep_spectra(coarse_cfg, lattice, [0.0, 0.25, 0.5, 0.5 + 1e-13])
+    assert list(spectra) == [0.0, 0.25, 0.5]  # keys rounded to 12 digits
+    assert isinstance(spectra[0.25], NoConvergence)
+    for r in (spectra[0.0], spectra[0.5], spectra[0.25].best_result):
         assert r._fields == ("eigenvalues", "residuals")
         assert r.eigenvalues.shape == r.residuals.shape == (coarse_cfg.solver.count,)
 
@@ -423,7 +424,7 @@ def test_slits_of_one_orbit_have_permuted_matrices(annulus):
     V = (grid.xy**2).sum(axis=1)  # x^2 + y^2: every symmetry keeps it bit for bit
     assert len(group) == 8 and all(np.array_equal(V[p], V) for p in group)
     slits = radial_family(grid)
-    orbit = _slit_orbits(slits, grid, V)
+    orbit = _slit_orbits(slits, Lattice(grid, V))
     zf = fl.zero_field(grid)
     pairs = [(i, j) for j, i in enumerate(orbit) if i != j]
     assert len(pairs) == len(slits) - len(set(orbit)) > 0
@@ -505,6 +506,20 @@ def test_multiplicity_off_center_hole_wants_simple_ground(tmp_path):
     assert "multiplicity 1 (want 1" in verdicts[0].detail
 
 
+def test_multiplicity_potential_breaking_the_symmetry_wants_simple_ground(tmp_path):
+    # a concentric annulus whose potential no point reflection keeps: the
+    # expected multiplicity follows the symmetries that keep V, not the shapes
+    p = tmp_path / "bump.cfg"
+    p.write_text(
+        COARSE.format(epsilon="0.01", slit_mode="radial")
+        + "\n[potential]\nkind = bump\ncenter = 0.65 0.0\nsigma = 0.2\namplitude = 40\n"
+    )
+    cfg = load_config(p)
+    verdicts = run_multiplicity_experiment(cfg, discretize(cfg))
+    assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
+    assert "multiplicity 1 (want 1" in verdicts[0].detail
+
+
 def test_cover_equivalence(coarse_cfg, tmp_path):
     rows, verdicts = run_cover_equivalence(coarse_cfg, discretize(coarse_cfg), out_dir=tmp_path)
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
@@ -554,6 +569,11 @@ def test_cli_missing_config(tmp_path):
         ("potential", "kind = radial_well\ncenter = 0.5\nradius = 0.5\ndepth = -2"),
         ("potential", "kind = zero\nradius = 0.5"),
         ("potential", "kind = radial_well\nradius = 0.5\ndepth = deep"),
+        # slit and circle values that used to fail only when their run started
+        ("slit", "count = 0"),
+        ("slit", "hole = 2"),
+        ("slit", "hole = 0"),
+        ("circle", "points = 32"),
     ],
 )
 def test_cli_bad_value_exits_2(tmp_path, section, line):
@@ -636,8 +656,9 @@ def _real_path(cfg, grid):
     return r, mult, cov, np.concatenate([U, -U])
 
 
-def test_real_half_flux_simple_ground_matches_k_path(offset_annulus):
-    grid = offset_annulus
+@pytest.mark.parametrize("fixture", ["offset_annulus", "two_holes"])
+def test_real_half_flux_simple_ground_matches_k_path(request, fixture):
+    grid = request.getfixturevalue(fixture)
     cfg = ExperimentConfig(domain=grid.spec)
     r_old, mult_old, cov_old, F_old = _k_path(cfg, grid)
     r, mult, cov, F = _real_path(cfg, grid)
@@ -647,10 +668,14 @@ def test_real_half_flux_simple_ground_matches_k_path(offset_annulus):
     f, f_old = F[:, 0], F_old[:, 0]
     f_old = np.sign(f @ f_old) * f_old
     assert np.max(np.abs(f - f_old)) <= 1e-12
-    lines = [
-        fl.topology_report(fl.extract_nodal_set(g, c, grid), grid).to_json_line()
-        for g, c in ((f, cov), (f_old, cov_old))
-    ]
+    # a simple ground state has one nodal set, whichever route solved it
+    nod, nod_old = (fl.extract_nodal_set(g, c, grid) for g, c in ((f, cov), (f_old, cov_old)))
+    assert nod.crossed_cells == nod_old.crossed_cells
+    assert nod.endpoint_labels == nod_old.endpoint_labels
+    assert [len(p) for p in nod.polylines] == [len(p) for p in nod_old.polylines]
+    for p, p_old in zip(nod.polylines, nod_old.polylines):
+        assert np.max(np.abs(np.asarray(p) - np.asarray(p_old))) <= 1e-12
+    lines = [fl.topology_report(n, grid).to_json_line() for n in (nod, nod_old)]
     assert lines[0] == lines[1]
 
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fluxlab as fl
 from fluxlab.errors import DisconnectedDomain, NoSuchHole, SpecTooCoarse
+from fluxlab.experiments import Lattice, _centrally_symmetric
 from fluxlab.geometry import DomainSpec, label_components, lattice_symmetries
 
 from conftest import winding_oracle
@@ -203,19 +204,23 @@ def test_degenerate_chain_grid():
 
 
 def test_central_symmetry():
+    # the lattice test: a symmetry of the grid, with no potential, is the point reflection
+    def symmetric(spec):
+        return _centrally_symmetric(Lattice(fl.build_grid(spec), None))
+
     def ring(c, h):
         return fl.DomainSpec(outer=fl.Disk(c, 0, 1.0), holes=(fl.Disk(c, 0, 0.3),), spacing=h)
 
-    assert ring(0.0, 0.05).is_centrally_symmetric()
-    assert ring(0.1, 0.05).is_centrally_symmetric()  # 2c on the lattice
-    assert not ring(0.1, 0.08).is_centrally_symmetric()  # lattice breaks the symmetry
+    assert symmetric(ring(0.0, 0.05))
+    assert symmetric(ring(0.1, 0.05))  # 2c on the lattice
+    assert not symmetric(ring(0.1, 0.08))  # lattice breaks the symmetry
     offset = fl.DomainSpec(outer=fl.Disk(0, 0, 1.0), holes=(fl.Disk(0.25, 0.1, 0.25),), spacing=0.02)
-    assert not offset.is_centrally_symmetric()
+    assert not symmetric(offset)
     pair = (fl.Disk(1.0, 0.5, 0.2), fl.Disk(2.0, 0.5, 0.2))
-    assert fl.DomainSpec(outer=fl.Rect(0, 0, 3, 1), holes=pair, spacing=0.02).is_centrally_symmetric()
-    assert not fl.DomainSpec(outer=fl.Rect(0, 0, 3, 1), holes=pair[:1], spacing=0.02).is_centrally_symmetric()
+    assert symmetric(fl.DomainSpec(outer=fl.Rect(0, 0, 3, 1), holes=pair, spacing=0.02))
+    assert not symmetric(fl.DomainSpec(outer=fl.Rect(0, 0, 3, 1), holes=pair[:1], spacing=0.02))
     rect_hole = (fl.Rect(0.8, 0.4, 1.2, 0.6),)
-    assert fl.DomainSpec(outer=fl.Rect(0, 0, 2, 1), holes=rect_hole, spacing=0.05).is_centrally_symmetric()
+    assert symmetric(fl.DomainSpec(outer=fl.Rect(0, 0, 2, 1), holes=rect_hole, spacing=0.05))
 
 
 # the 8 integer matrices of the square's symmetry group

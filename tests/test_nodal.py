@@ -7,7 +7,8 @@ import pytest
 
 import fluxlab as fl
 from fluxlab.errors import NoSignChange, PreconditionViolated
-from fluxlab.nodal import NodalSet, _cell_mask, _cover_components, _cut_rasters
+from fluxlab.geometry import full_cells
+from fluxlab.nodal import NodalSet, _cover_components, _cut_rasters
 
 
 def ground_representatives(grid, flux_field, m=None, tol=1e-11):
@@ -111,7 +112,7 @@ def test_projection_consistency_two_holes(two_holes):
 
 def free_cells(nodal, grid):
     """The free-cell mask topology_report builds."""
-    free = _cell_mask(grid)
+    free = full_cells(grid._active)
     for a, b in nodal.crossed_cells:
         if 0 <= a < free.shape[0] and 0 <= b < free.shape[1]:
             free[a, b] = False
