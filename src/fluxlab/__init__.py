@@ -34,13 +34,11 @@ from .cover import (
     lift_to_cover,
     real_representative,
     real_representatives,
-    symmetric_block,
 )
 from .nodal import (
     NodalSet,
     SlitReport,
     circle_zero_points,
-    degenerate_pair_check,
     extract_nodal_set,
     topology_report,
 )

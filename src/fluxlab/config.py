@@ -149,20 +149,24 @@ def _check_keys(cp, path):
 
 def _value(cp, name, key, default, base=10):
     """[name] key parsed by the type of default (default if absent);
-    ConfigError if it does not parse."""
+    ConfigError if it does not parse or a float is not finite."""
     if name not in cp or key not in cp[name]:
         return default
     text = cp[name][key]
     try:
         if isinstance(default, tuple):
-            return tuple(float(t) for t in text.split())
-        if isinstance(default, int):
+            value = tuple(float(t) for t in text.split())
+        elif isinstance(default, int):
             return int(text, base)
-        if isinstance(default, float):
-            return float(text)
+        elif isinstance(default, float):
+            value = float(text)
+        else:
+            return text
+        if not np.all(np.isfinite(value)):
+            raise ValueError("not finite")
     except ValueError as exc:
         raise ConfigError(f"bad [{name}] {key} = {text!r}") from exc
-    return text
+    return value
 
 
 def _potential_params(cp, path, kind):

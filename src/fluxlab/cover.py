@@ -228,13 +228,6 @@ def antisymmetric_block(cover: CoverGraph, V=None) -> HamiltonianMatrix:
     return assemble(graph, V=V)
 
 
-def symmetric_block(cover: CoverGraph, V=None) -> HamiltonianMatrix:
-    """Lifted operator restricted to symmetric functions: the zero-flux base operator."""
-    base = cover.base
-    graph = EdgeGraph(n=base.n, edges=base.edges, theta=np.zeros(base.theta.size), spacing=base.spacing)
-    return assemble(graph, V=V)
-
-
 class ConjugationOperator:
     """Antilinear involution commuting with the half-flux operator.
 

@@ -14,15 +14,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .config import ExperimentConfig
 from .cover import (
+    ConjugationOperator,
     antisymmetric_block,
     assemble_lifted,
     build_cover,
     build_theta,
     lift_to_cover,
-    symmetric_block,
 )
 from .eigensolver import gershgorin_bounds, lowest_eigenpairs, multiplicity_estimate
 from .errors import ConfigError, EmptyFamily, NoConvergence
@@ -122,8 +123,11 @@ def require_one_hole(cfg: ExperimentConfig, experiment: str):
 
 
 def discretize(cfg: ExperimentConfig, domain: DomainSpec = None) -> Lattice:
-    """The grid of domain (default cfg.domain) and cfg's potential on it."""
+    """The grid of domain (default cfg.domain) and cfg's potential on it;
+    ConfigError if the grid has no more vertices than [solver] count."""
     grid = build_grid(cfg.domain if domain is None else domain)
+    if cfg.solver.count >= grid.n_vertices:
+        raise ConfigError(f"[solver] count {cfg.solver.count} needs more than the grid's {grid.n_vertices} vertices")
     return Lattice(grid, cfg.potential(grid))
 
 
@@ -476,20 +480,21 @@ def _half_flux_ground(cfg: ExperimentConfig, V, grid):
 
     The block's spectrum is the magnetic one.  Its eigenvectors u are real,
     and concat(u, -u) is the antisymmetric cover function of each, so the
-    nodal sets need no cover phase and no conjugation.
+    nodal sets need no cover phase and no conjugation.  At least k + 2
+    pairs are solved, so a multiplicity above the k + 1 bound can show.
     """
     s = cfg.solver
     cover = _half_flux_cover(grid)
-    r = lowest_eigenpairs(antisymmetric_block(cover, V=V), max(s.count, 4), tol=s.tol, seed=s.seed)
+    m = max(s.count, 4, grid.k + 2)
+    r = lowest_eigenpairs(antisymmetric_block(cover, V=V), m, tol=s.tol, seed=s.seed)
     mult = multiplicity_estimate(r.eigenvalues, s.cluster_tol)
     return cover, r, mult
 
 
 def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Ground multiplicity at half flux: two when a lattice symmetry that
-    keeps V is the point reflection (the domain is centrally symmetric) and
-    one otherwise, one once a potential bump breaks the symmetry, never
-    above two for a single hole."""
+    keeps V is the point reflection and one otherwise, and one once a
+    potential bump breaks the symmetry."""
     require_one_hole(cfg, "multiplicity")
     grid, V = lattice
     s = cfg.solver
@@ -504,16 +509,9 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
         Verdict(
             "half-flux-ground-multiplicity",
             mult == want and gap_above >= 10 * width,
-            f"half-flux ground multiplicity {mult} (want {want}: domain "
-            f"{'is' if symmetric else 'is not'} centrally symmetric), next gap "
-            f"{gap_above:.3e} >= 10x cluster width {width:.3e}",
-        )
-    )
-    verdicts.append(
-        Verdict(
-            "one-hole-multiplicity-bound",
-            mult <= 2,
-            f"multiplicity {mult} <= 2 for one hole",
+            f"half-flux ground multiplicity {mult} (want {want}: the lattice symmetries "
+            f"that keep V {'include' if symmetric else 'exclude'} the point reflection), "
+            f"next gap {gap_above:.3e} >= 10x cluster width {width:.3e}",
         )
     )
 
@@ -547,7 +545,8 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
 
 def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Magnetic spectrum == antisymmetric lifted spectrum; symmetric lifted
-    spectrum == zero-flux spectrum; the lift intertwines eigenpairs."""
+    spectrum == zero-flux spectrum; the lift intertwines eigenpairs; the
+    conjugation K squares to one and commutes with the half-flux operator."""
     s = cfg.solver
     verdicts = []
     rows = []
@@ -571,7 +570,8 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
     field = aharonov_bohm_potential(grid, [0.5] * grid.k)
     H = assemble_magnetic(grid, field, V=V)
     r = lowest_eigenpairs(H, 3, tol=s.tol, seed=s.seed)
-    cov = build_cover(as_edge_graph(grid, field))
+    graph = as_edge_graph(grid, field)
+    cov = build_cover(graph)
     ra = lowest_eigenpairs(antisymmetric_block(cov, V=V), 3, tol=s.tol, seed=s.seed)
     dev_dom = spectra_close(ra.eigenvalues, r.eigenvalues)
     rows.append(("domain-antisymmetric",) + tuple(float(x) for x in ra.eigenvalues))
@@ -586,7 +586,10 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
     )
 
     r0 = lowest_eigenpairs(assemble_magnetic(grid, zero_field(grid), V=V), 3, tol=s.tol, seed=s.seed)
-    rs = lowest_eigenpairs(symmetric_block(cov, V=V), 3, tol=s.tol, seed=s.seed)
+    # the symmetric sector of the lifted operator, 1/2 P^T Hl P with P = [I; I]
+    Hl = assemble_lifted(cov, V=V)
+    P = sparse.vstack([sparse.identity(grid.n_vertices, format="csr")] * 2)
+    rs = lowest_eigenpairs(0.5 * (P.T @ Hl.matrix @ P), 3, tol=s.tol, seed=s.seed)
     dev_sym = spectra_close(rs.eigenvalues, r0.eigenvalues)
     verdicts.append(
         Verdict(
@@ -598,7 +601,6 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
     )
 
     theta = build_theta(cov)
-    Hl = assemble_lifted(cov, V=V)
     worst = 0.0
     for j in range(3):
         lu = lift_to_cover(r.eigenvectors[:, j], theta)
@@ -609,6 +611,24 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
             "lift-intertwines-eigenpairs",
             worst <= budget,
             f"max lifted eigen-residual {worst:.3e} <= 10 * tol * norm = {budget:.3e}",
+        )
+    )
+
+    K = ConjugationOperator(graph)
+    norm = max(map(abs, gershgorin_bounds(H.matrix)))
+    rng = np.random.default_rng(s.seed)
+    worst_sq = worst_comm = 0.0
+    for _ in range(20):
+        u = rng.standard_normal(grid.n_vertices) + 1j * rng.standard_normal(grid.n_vertices)
+        u /= np.linalg.norm(u)
+        worst_sq = max(worst_sq, float(np.linalg.norm(K(K(u)) - u)))
+        worst_comm = max(worst_comm, float(np.linalg.norm(H.matrix @ K(u) - K(H.matrix @ u)) / norm))
+    verdicts.append(
+        Verdict(
+            "conjugation-algebra",
+            worst_sq <= 1e-12 and worst_comm <= 1e-10,
+            f"K^2 = 1 and [K, H] = 0 on 20 random unit vectors: max ||K^2 u - u|| = {worst_sq:.3e} "
+            f"(tol 1e-12), max ||[K, H] u|| / norm = {worst_comm:.3e} (tol 1e-10)",
         )
     )
 
@@ -637,7 +657,8 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
 
 def run_nodal(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Extract the half-flux ground nodal sets and verify the slitting
-    topology claims on the reports."""
+    topology claims on the reports, the multiplicity bound k + 1 and, for a
+    degenerate pair, disjoint nodal sets."""
     grid, V = lattice
     cov, r, mult = _half_flux_ground(cfg, V, grid)
 
@@ -669,6 +690,27 @@ def run_nodal(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
             "slitting report passes iff the lifted complement has exactly two components",
         )
     )
+    verdicts.append(
+        Verdict(
+            "ground-multiplicity-bound",
+            mult <= grid.k + 1,
+            f"half-flux ground multiplicity {mult} <= k + 1 = {grid.k + 1}",
+        )
+    )
+    if mult == 2:
+        # a degenerate pair: disjoint nodal sets, and u1 + i*u2 vanishes
+        # nowhere in the interior
+        shared = len(nodal_sets[0].crossed_cells & nodal_sets[1].crossed_cells)
+        w = np.abs(r.eigenvectors[:, 0] + 1j * r.eigenvectors[:, 1])
+        floor = float(np.min(w[grid.boundary_labels < 0]) / np.max(w))
+        verdicts.append(
+            Verdict(
+                "degenerate-pair-disjoint",
+                shared == 0 and floor > 1e-6,
+                f"the two ground representatives share {shared} crossed cells (want 0); "
+                f"min |u1 + i*u2| on interior vertices = {floor:.3e} of its max (needs > 1e-6)",
+            )
+        )
     if out_dir:
         nodal_svg(cfg.domain, nodal_sets, os.path.join(out_dir, "nodal.svg"))
         for j, nod in enumerate(nodal_sets):

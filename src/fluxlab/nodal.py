@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .cover import CoverGraph, CoverPhase, build_theta, lift_to_cover
-from .eigensolver import multiplicity_estimate
+from .cover import CoverGraph
 from .errors import NoSignChange, PreconditionViolated
 from .geometry import GridDomain, full_cells, label_components
 
@@ -337,46 +336,6 @@ def _cover_components(nodal: NodalSet, grid: GridDomain, free) -> int:
     cols = np.concatenate([t1 + n_free * cut, t1 + n_free * (1 - cut)])
     g = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n_free, 2 * n_free))
     return int(connected_components(g, directed=False)[0])
-
-
-def degenerate_pair_check(
-    u1,
-    u2,
-    grid: GridDomain,
-    cover: CoverGraph,
-    theta: CoverPhase = None,
-    eigenvalues=None,
-    cluster_tol: float = 1e-3,
-    zero_tol: float = 1e-6,
-) -> bool:
-    """True iff two orthonormal conjugation-fixed ground representatives have
-    disjoint nodal cell masks and u1 + i*u2 vanishes nowhere in the interior."""
-    if grid.k not in (1, 2):
-        raise PreconditionViolated(f"check defined for one or two holes, not k={grid.k}")
-    if eigenvalues is not None and multiplicity_estimate(eigenvalues, cluster_tol) != 2:
-        raise PreconditionViolated("ground multiplicity estimate is not two")
-    u1 = np.asarray(u1, dtype=complex).reshape(-1)
-    u2 = np.asarray(u2, dtype=complex).reshape(-1)
-    u1 = u1 / np.linalg.norm(u1)
-    u2 = u2 / np.linalg.norm(u2)
-    if abs(np.vdot(u1, u2)) > 1e-6:
-        raise PreconditionViolated("representatives are not orthogonal")
-    if theta is None:
-        theta = build_theta(cover)
-
-    masks = []
-    for u in (u1, u2):
-        lift = lift_to_cover(u, theta)
-        if np.max(np.abs(lift.imag)) > 1e-6 * np.max(np.abs(lift)):
-            raise PreconditionViolated("representative is not conjugation-fixed (complex lift)")
-        nod = extract_nodal_set(lift.real, cover, grid)
-        masks.append(nod.crossed_cells)
-    disjoint = not (masks[0] & masks[1])
-
-    w = u1 + 1j * u2
-    interior = grid.boundary_labels < 0
-    nowhere_zero = bool(np.min(np.abs(w[interior])) > zero_tol * np.max(np.abs(w)))
-    return disjoint and nowhere_zero
 
 
 def circle_zero_points(f, cover: CoverGraph) -> np.ndarray:

@@ -177,11 +177,17 @@ def test_antisymmetric_block_bit_identical_to_signed_hops(annulus, annulus_cover
 
 
 def test_symmetric_block_is_zero_flux(annulus, annulus_cover):
+    # the symmetric sector 1/2 P^T Hl P of the lifted operator, P = [I; I],
+    # is the zero-flux operator entry for entry, with and without V
     cov, _ = annulus_cover
-    Hs = fl.symmetric_block(cov)
-    H0 = fl.assemble_magnetic(annulus, fl.zero_field(annulus))
-    d = (Hs.matrix - H0.matrix.real).tocoo()
-    assert d.nnz == 0 or np.max(np.abs(d.data)) == 0.0
+    n = annulus.n_vertices
+    V = np.random.default_rng(5).uniform(0.0, 5.0, n)
+    P = sparse.vstack([sparse.identity(n)] * 2)
+    for pot in (None, V):
+        Hs = 0.5 * (P.T @ fl.assemble_lifted(cov, V=pot).matrix @ P)
+        H0 = fl.assemble_magnetic(annulus, fl.zero_field(annulus), V=pot)
+        d = (Hs - H0.matrix).tocoo()
+        assert d.nnz == 0 or np.max(np.abs(d.data)) == 0.0
 
 
 def test_conjugation_zero_flux_is_plain_conjugation(annulus):

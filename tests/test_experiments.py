@@ -574,6 +574,11 @@ def test_cli_missing_config(tmp_path):
         ("slit", "hole = 2"),
         ("slit", "hole = 0"),
         ("circle", "points = 32"),
+        # non-finite floats: a traceback, or (tol) every residual check passing
+        ("sweep", "step = inf"),
+        ("sweep", "start = nan"),
+        ("sweep", "stop = inf"),
+        ("solver", "tol = inf"),
     ],
 )
 def test_cli_bad_value_exits_2(tmp_path, section, line):
@@ -581,6 +586,14 @@ def test_cli_bad_value_exits_2(tmp_path, section, line):
     cfgp.write_text(f"{BASE_DOMAIN}[{section}]\n{line}\n")
     with pytest.raises(ConfigError):
         load_config(cfgp)
+    assert cli_main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
+
+
+def test_cli_count_beyond_the_grid_exits_2(tmp_path):
+    # the coarse annulus has fewer than 5000 vertices
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"{BASE_DOMAIN}[solver]\ncount = 5000\n")
+    load_config(cfgp)
     assert cli_main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
 
 

@@ -235,20 +235,6 @@ def test_removing_a_line_breaks_parity(annulus, annulus_half, two_holes):
         assert not fl.topology_report(sub, two_holes).parity_ok
 
 
-def test_degenerate_pair_check_annulus(annulus, annulus_half):
-    r, reps, cov, th = ground_representatives(annulus, annulus_half)
-    ok = fl.degenerate_pair_check(
-        reps[:, 0], reps[:, 1], annulus, cov, theta=th, eigenvalues=r.eigenvalues
-    )
-    assert ok
-
-
-def test_degenerate_pair_check_rejects_identical(annulus, annulus_half):
-    r, reps, cov, th = ground_representatives(annulus, annulus_half)
-    with pytest.raises(PreconditionViolated):
-        fl.degenerate_pair_check(reps[:, 0], reps[:, 0], annulus, cov, theta=th)
-
-
 def test_extraction_requires_antisymmetry(annulus, annulus_cover):
     cov, _ = annulus_cover
     f = np.ones(2 * annulus.n_vertices)
