@@ -25,15 +25,19 @@ from .geometry import Disk, DomainSpec, Rect
 
 
 def parse_shape(text: str):
-    parts = text.split()
+    """Disk or Rect; ConfigError unless text is `disk cx cy r` or
+    `rect x0 y0 x1 y1` with finite numbers."""
+    kind, *numbers = text.split() or [""]
+    shape = {("disk", 3): Disk, ("rect", 4): Rect}.get((kind, len(numbers)))
+    if shape is None:
+        raise ConfigError(f"bad shape {text!r}: expected 'disk cx cy r' or 'rect x0 y0 x1 y1'")
     try:
-        if parts[0] == "disk" and len(parts) == 4:
-            return Disk(float(parts[1]), float(parts[2]), float(parts[3]))
-        if parts[0] == "rect" and len(parts) == 5:
-            return Rect(float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]))
-    except (ValueError, IndexError) as exc:
+        values = [float(t) for t in numbers]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("not finite")
+    except ValueError as exc:
         raise ConfigError(f"bad shape {text!r}") from exc
-    raise ConfigError(f"bad shape {text!r}: expected 'disk cx cy r' or 'rect x0 y0 x1 y1'")
+    return shape(*values)
 
 
 @dataclass
@@ -111,7 +115,7 @@ class ExperimentConfig:
         if kind == "radial_well":
             r = p["radius"]
             return np.where(d2 <= r * r, p["depth"], 0.0)
-        return p["amplitude"] * np.exp(-0.5 * d2 / p["sigma"] ** 2)
+        return p["amplitude"] * np.exp(-0.5 * d2 / np.square(p["sigma"]))
 
     def sweep_values(self):
         start, stop, step = self.sweep

@@ -85,6 +85,7 @@ class CoverGraph:
     cuts: np.ndarray        # (m,) bool, True where the edge crosses sheets
     connected: bool
     circulations: np.ndarray  # (m,) fundamental-cycle circulation per edge (0 on tree edges)
+    eta: np.ndarray         # (n,) base tree potential, rooted at vertex 0
     _cover_edges: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -151,9 +152,9 @@ def build_cover(base: EdgeGraph, tol: float = 1e-9) -> CoverGraph:
     cycle is genuinely half-integer; all-integer circulations give the
     trivial two-copy cover.
     """
-    _, circ = _half_integer_circulations(base, 2 * tol)
+    eta, circ = _half_integer_circulations(base, 2 * tol)
     cuts = np.abs(np.round(2.0 * circ).astype(np.int64)) % 2 == 1
-    return CoverGraph(base=base, cuts=cuts, connected=bool(cuts.any()), circulations=circ)
+    return CoverGraph(base=base, cuts=cuts, connected=bool(cuts.any()), circulations=circ, eta=eta)
 
 
 @dataclass
@@ -173,16 +174,14 @@ class CoverPhase:
 
 
 def build_theta(cover: CoverGraph, tol: float = 1e-10) -> CoverPhase:
-    """Integrate the lifted link phases along a spanning tree of the cover."""
+    """The base tree potential eta on sheet 0 and eta + pi on sheet 1: a cut
+    edge closes a half-integer cycle, so pi is the jump it needs."""
     if not cover.connected:
         raise DisconnectedCover("trivial cover: phases integrate per copy, not across sheets")
     cg = cover.as_edge_graph()
-    tree = spanning_tree(cg)
-    values = tree_potential(cg, tree)
-    is_tree = tree[4]
+    values = np.concatenate([cover.eta, cover.eta + np.pi])
     a, b = cg.edges[:, 0], cg.edges[:, 1]
     mism = values[a] + cg.theta - values[b]
-    mism = mism[~is_tree]
     off = np.abs(mism - TWO_PI * np.round(mism / TWO_PI))
     if off.size and off.max() > tol:
         raise InconsistentHolonomy(f"cycle phase mismatch up to {off.max():.3e} rad")

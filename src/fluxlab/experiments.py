@@ -26,12 +26,13 @@ from .cover import (
     lift_to_cover,
 )
 from .eigensolver import gershgorin_bounds, lowest_eigenpairs, multiplicity_estimate
-from .errors import ConfigError, EmptyFamily, NoConvergence
+from .errors import ConfigError, DisconnectedDomain, EmptyFamily, NoConvergence, SpecTooCoarse
 from .gauge import aharonov_bohm_potential, zero_field
 from .geometry import DomainSpec, GridDomain, build_grid, lattice_symmetries
-from .nodal import extract_nodal_set, polylines_text, topology_report
+from .nodal import extract_nodal_set, polylines_text, topology_report, values_at_crossings
 from .operators import (
     as_edge_graph,
+    assemble,
     assemble_circle,
     assemble_magnetic,
     assemble_slit,
@@ -124,8 +125,11 @@ def require_one_hole(cfg: ExperimentConfig, experiment: str):
 
 def discretize(cfg: ExperimentConfig, domain: DomainSpec = None) -> Lattice:
     """The grid of domain (default cfg.domain) and cfg's potential on it;
-    ConfigError if the grid has no more vertices than [solver] count."""
-    grid = build_grid(cfg.domain if domain is None else domain)
+    ConfigError if the grid does not build or has no more vertices than [solver] count."""
+    try:
+        grid = build_grid(cfg.domain if domain is None else domain)
+    except (SpecTooCoarse, DisconnectedDomain) as exc:
+        raise ConfigError(f"[domain] does not build a grid: {exc}") from exc
     if cfg.solver.count >= grid.n_vertices:
         raise ConfigError(f"[solver] count {cfg.solver.count} needs more than the grid's {grid.n_vertices} vertices")
     return Lattice(grid, cfg.potential(grid))
@@ -475,20 +479,18 @@ def _half_flux_cover(grid):
     return build_cover(as_edge_graph(grid, field))
 
 
-def _half_flux_ground(cfg: ExperimentConfig, V, grid):
-    """Lowest half-flux eigenpairs, solved as the real antisymmetric block.
+def _half_flux_ground(cfg: ExperimentConfig, cover, V, k):
+    """Lowest half-flux eigenpairs, solved as the cover's real antisymmetric block.
 
     The block's spectrum is the magnetic one.  Its eigenvectors u are real,
     and concat(u, -u) is the antisymmetric cover function of each, so the
-    nodal sets need no cover phase and no conjugation.  At least k + 2
-    pairs are solved, so a multiplicity above the k + 1 bound can show.
+    nodal sets need no cover phase and no conjugation.  With k holes, at least
+    k + 2 pairs are solved, so a multiplicity above the k + 1 bound can show.
     """
     s = cfg.solver
-    cover = _half_flux_cover(grid)
-    m = max(s.count, 4, grid.k + 2)
+    m = max(s.count, 4, k + 2)
     r = lowest_eigenpairs(antisymmetric_block(cover, V=V), m, tol=s.tol, seed=s.seed)
-    mult = multiplicity_estimate(r.eigenvalues, s.cluster_tol)
-    return cover, r, mult
+    return r, multiplicity_estimate(r.eigenvalues, s.cluster_tol)
 
 
 def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
@@ -500,7 +502,8 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
     s = cfg.solver
     verdicts = []
 
-    _, r, mult = _half_flux_ground(cfg, V, grid)
+    cover = _half_flux_cover(grid)
+    r, mult = _half_flux_ground(cfg, cover, V, grid.k)
     width = s.cluster_tol * (1.0 + abs(r.eigenvalues[0]))
     gap_above = float(r.eigenvalues[mult] - r.eigenvalues[mult - 1]) if mult < len(r.eigenvalues) else np.nan
     symmetric = _centrally_symmetric(lattice)
@@ -518,10 +521,10 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
     mu = cfg.multiplicity
     bump_center = (mu.bump_radius * np.cos(mu.bump_angle), mu.bump_radius * np.sin(mu.bump_angle))
     d2 = (grid.xy[:, 0] - bump_center[0]) ** 2 + (grid.xy[:, 1] - bump_center[1]) ** 2
-    Vb = (V if V is not None else 0.0) + mu.bump_amplitude * np.exp(-0.5 * d2 / mu.bump_sigma**2)
-    cov, rb, multb = _half_flux_ground(cfg, Vb, grid)
+    Vb = (V if V is not None else 0.0) + mu.bump_amplitude * np.exp(-0.5 * d2 / np.square(mu.bump_sigma))
+    rb, multb = _half_flux_ground(cfg, cover, Vb, grid.k)
     u = rb.eigenvectors[:, 0]
-    nod = extract_nodal_set(np.concatenate([u, -u]), cov, grid)
+    nod = extract_nodal_set(np.concatenate([u, -u]), cover, grid)
     report = topology_report(nod, grid)
     verdicts.append(
         Verdict(
@@ -567,11 +570,9 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
 
     # the domain at half flux
     grid, V = lattice
-    field = aharonov_bohm_potential(grid, [0.5] * grid.k)
-    H = assemble_magnetic(grid, field, V=V)
+    cov = _half_flux_cover(grid)
+    H = assemble(cov.base, V=V)
     r = lowest_eigenpairs(H, 3, tol=s.tol, seed=s.seed)
-    graph = as_edge_graph(grid, field)
-    cov = build_cover(graph)
     ra = lowest_eigenpairs(antisymmetric_block(cov, V=V), 3, tol=s.tol, seed=s.seed)
     dev_dom = spectra_close(ra.eigenvalues, r.eigenvalues)
     rows.append(("domain-antisymmetric",) + tuple(float(x) for x in ra.eigenvalues))
@@ -614,7 +615,7 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
         )
     )
 
-    K = ConjugationOperator(graph)
+    K = ConjugationOperator(cov.base)
     norm = max(map(abs, gershgorin_bounds(H.matrix)))
     rng = np.random.default_rng(s.seed)
     worst_sq = worst_comm = 0.0
@@ -660,15 +661,17 @@ def run_nodal(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     topology claims on the reports, the multiplicity bound k + 1 and, for a
     degenerate pair, disjoint nodal sets."""
     grid, V = lattice
-    cov, r, mult = _half_flux_ground(cfg, V, grid)
+    cov = _half_flux_cover(grid)
+    r, mult = _half_flux_ground(cfg, cov, V, grid.k)
 
     verdicts = []
     reports = []
     nodal_sets = []
     all_pass = True
     equiv_ok = True
-    for u in r.eigenvectors[:, :mult].T:
-        nod = extract_nodal_set(np.concatenate([u, -u]), cov, grid)
+    lifts = [np.concatenate([u, -u]) for u in r.eigenvectors[:, :mult].T]
+    for f in lifts:
+        nod = extract_nodal_set(f, cov, grid)
         rep = topology_report(nod, grid)
         reports.append(rep)
         nodal_sets.append(nod)
@@ -698,17 +701,17 @@ def run_nodal(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
         )
     )
     if mult == 2:
-        # a degenerate pair: disjoint nodal sets, and u1 + i*u2 vanishes
-        # nowhere in the interior
+        # a degenerate pair: disjoint nodal sets, and u2 vanishes nowhere
+        # on the nodal set of u1
         shared = len(nodal_sets[0].crossed_cells & nodal_sets[1].crossed_cells)
-        w = np.abs(r.eigenvectors[:, 0] + 1j * r.eigenvectors[:, 1])
-        floor = float(np.min(w[grid.boundary_labels < 0]) / np.max(w))
+        at = values_at_crossings(lifts[0], lifts[1], cov, grid)
+        floor = float(np.min(np.abs(at)) / np.max(np.abs(lifts[1])))
         verdicts.append(
             Verdict(
                 "degenerate-pair-disjoint",
                 shared == 0 and floor > 1e-6,
                 f"the two ground representatives share {shared} crossed cells (want 0); "
-                f"min |u1 + i*u2| on interior vertices = {floor:.3e} of its max (needs > 1e-6)",
+                f"min |u2| on the crossings of u1 = {floor:.3e} of its max (needs > 1e-6)",
             )
         )
     if out_dir:

@@ -276,6 +276,34 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
     )
 
 
+def values_at_crossings(f, g, cover: CoverGraph, grid: GridDomain) -> np.ndarray:
+    """g interpolated at every zero crossing of f on the lattice edges that
+    marching squares reads, the edges of fully active cells.
+
+    f and g are real antisymmetric cover functions.  Each edge is read on
+    its sheet-0 lift, so the sign flips on cut edges; antisymmetry puts the
+    crossing at the same point on the other lift.  Round-off zeros of f
+    count as zero (`_zero_band`), as in `extract_nodal_set`.
+    """
+    f = _zero_band(np.asarray(f, dtype=float).reshape(-1))
+    g = np.asarray(g, dtype=float).reshape(-1)
+    cells = full_cells(grid._active)
+    ex, ey = grid._edge_raster
+    # an x-edge is the south side of its cell and the north side of the one
+    # below; a y-edge the west side of its cell and the east side of the one
+    # to its left
+    x_used = np.zeros(ex.shape, dtype=bool)
+    x_used[:-1, :-1] |= cells
+    x_used[:-1, 1:] |= cells
+    y_used = np.zeros(ey.shape, dtype=bool)
+    y_used[:-1, :-1] |= cells
+    y_used[1:, :-1] |= cells
+    edges = cover.cover_edges()[np.concatenate([ex[x_used], ey[y_used]])]
+    a, b = edges[_sign(f[edges[:, 0]]) != _sign(f[edges[:, 1]])].T
+    t = f[a] / (f[a] - f[b])
+    return g[a] + t * (g[b] - g[a])
+
+
 def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:
     """Slitting checks for an extracted (or hand-built) nodal set."""
     k = grid.k

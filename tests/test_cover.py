@@ -4,6 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 from scipy import sparse
 
 import fluxlab as fl
@@ -16,6 +17,8 @@ from fluxlab.errors import (
     InconsistentHolonomy,
     NonHalfIntegerFlux,
 )
+
+from test_geometry import small_domains
 
 
 def loop_cut_parity(grid, cover, loop):
@@ -324,6 +327,49 @@ def test_inconsistent_holonomy():
         cuts=cov.cuts,
         connected=cov.connected,
         circulations=cov.circulations,
+        eta=cov.eta,
     )
     with pytest.raises(InconsistentHolonomy):
         fl.build_theta(bad)
+
+
+def test_wrong_cut_raises_inconsistent_holonomy(annulus, annulus_cover):
+    cov, _ = annulus_cover
+    cuts = cov.cuts.copy()
+    cuts[np.argmax(~cuts)] = True
+    bad = fl.CoverGraph(base=cov.base, cuts=cuts, connected=True, circulations=cov.circulations, eta=cov.eta)
+    with pytest.raises(InconsistentHolonomy):
+        fl.build_theta(bad)
+
+
+def test_build_theta_builds_no_tree(annulus, annulus_cover, monkeypatch):
+    cov, th = annulus_cover
+
+    def no_tree(graph):
+        raise AssertionError(f"spanning_tree called on {graph.n} vertices")
+
+    monkeypatch.setattr(fl.cover, "spanning_tree", no_tree)
+    monkeypatch.setattr(fl.cover, "tree_potential", no_tree)
+    assert np.array_equal(fl.build_theta(cov).values, th.values)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(small_domains())
+def test_cover_phase_is_the_base_gauge_on_random_domains(grid):
+    assume(grid.k == 1)
+    field = fl.aharonov_bohm_potential(grid, [0.5])
+    cov = fl.build_cover(fl.as_edge_graph(grid, field))
+    th = fl.build_theta(cov)
+    # oracle: the lifted link phases integrated along a tree of the cover
+    cg = cov.as_edge_graph()
+    want = tree_potential(cg, spanning_tree(cg))
+    assert np.max(np.abs(np.exp(1j * th.values) - np.exp(1j * want))) <= 1e-10
+    # the lift carries magnetic eigenpairs to lifted ones, within the
+    # lift-intertwines-eigenpairs budget
+    tol = 1e-10
+    r = fl.lowest_eigenpairs(fl.assemble_magnetic(grid, field), 3, tol=tol)
+    Hl = fl.assemble_lifted(cov).matrix
+    budget = 10 * tol * max(map(abs, gershgorin_bounds(Hl)))
+    for j in range(3):
+        lu = fl.lift_to_cover(r.eigenvectors[:, j], th)
+        assert np.linalg.norm(Hl @ lu - r.eigenvalues[j] * lu) <= budget

@@ -1,12 +1,18 @@
 """Config parsing, experiment runners, CSV determinism, the worker pool and
 CLI exit codes."""
 
+import contextlib
+import dataclasses
+import io
 import multiprocessing
 import os
+import re
+import tempfile
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -17,6 +23,7 @@ from fluxlab.errors import ConfigError, EmptyFamily, NoConvergence
 from fluxlab.experiments import (
     Lattice,
     _fan_out,
+    _half_flux_cover,
     _half_flux_ground,
     _slit_minimum,
     _slit_orbits,
@@ -533,6 +540,25 @@ def test_nodal_experiment(coarse_cfg, tmp_path):
     assert (tmp_path / "nodal_reports.jsonl").read_text().count("\n") == len(reports)
 
 
+def test_collinear_pair_fails_both_halves_of_disjointness(coarse_cfg, monkeypatch):
+    # u2 := u1: the pair shares every crossed cell, and u2 vanishes on u1's crossings
+    ground = fl.experiments._half_flux_ground
+
+    def collinear(*args):
+        r, mult = ground(*args)
+        U = r.eigenvectors.copy()
+        U[:, 1] = U[:, 0]
+        return dataclasses.replace(r, eigenvectors=U), mult
+
+    monkeypatch.setattr(fl.experiments, "_half_flux_ground", collinear)
+    _, verdicts = run_nodal(coarse_cfg, discretize(coarse_cfg))
+    (v,) = [v for v in verdicts if v.name == "degenerate-pair-disjoint"]
+    assert not v.passed
+    shared = int(re.search(r"share (\d+) crossed cells", v.detail).group(1))
+    floor = float(re.search(r"crossings of u1 = (\S+) of its max", v.detail).group(1))
+    assert shared > 0 and floor <= 1e-6, v.detail
+
+
 def test_cli_pass_and_outputs(tmp_path):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(COARSE.format(epsilon="0.01", slit_mode="radial"))
@@ -597,6 +623,36 @@ def test_cli_count_beyond_the_grid_exits_2(tmp_path):
     assert cli_main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [
+        # the hole's gap to the outer boundary is below 3h
+        BASE_DOMAIN.replace("spacing = 0.05", "spacing = 0.4"),
+        # the hole contains no lattice cell
+        BASE_DOMAIN.replace("disk 0.0 0.0 0.3", "disk 0.0 0.0 0.01"),
+    ],
+    ids=["gap-below-3h", "hole-below-a-cell"],
+)
+def test_cli_grid_that_does_not_build_exits_2(tmp_path, domain, capsys):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(domain)
+    cfg = load_config(cfgp)  # the config loads; its grid does not build
+    with pytest.raises(ConfigError):
+        discretize(cfg)
+    assert cli_main(["all", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith("error: [domain] does not build a grid")
+
+
+def test_disconnected_grid_exits_2(tmp_path, monkeypatch):
+    # valid specs cannot disconnect, so bypass the analytic check
+    monkeypatch.setattr(fl.DomainSpec, "validate", lambda self: None)
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("[domain]\nouter = rect 0 0 1 0.4\nhole1 = rect 0.45 -0.1 0.55 0.5\nspacing = 0.1\n")
+    with pytest.raises(ConfigError, match="components"):
+        discretize(load_config(cfgp))
+    assert cli_main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
+
+
 @pytest.mark.parametrize("command", ["slit", "multiplicity"])
 @pytest.mark.parametrize("radius", ["0.2", "0.01"], ids=["grid-builds", "grid-too-coarse"])
 def test_cli_one_hole_experiment_on_two_holes_exits_2(tmp_path, command, radius):
@@ -604,6 +660,60 @@ def test_cli_one_hole_experiment_on_two_holes_exits_2(tmp_path, command, radius)
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(TWO_HOLES_COARSE.replace("0.5 0.2", f"0.5 {radius}"))
     assert cli_main([command, "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
+
+
+# each key's valid value on a coarse annulus, then the values a fuzzed key
+# may take instead: not finite, zero, negative, or too big for the grid
+FUZZ_KEYS = {
+    ("domain", "outer"): ("disk 0 0 1.0", ["disk 0 0 nan", "disk 0 0 inf", "disk 0 0 0", "disk 0 0 -1", "disk 0 0 0.2"]),
+    ("domain", "hole1"): (
+        "disk 0 0 0.3",
+        ["disk nan 0 0.3", "disk 0 0 inf", "disk 0 0 0", "disk 0 0 -0.3", "disk 0 0 2.0", "disk 5 0 0.3"],
+    ),
+    ("domain", "spacing"): ("0.1", ["nan", "inf", "0", "-0.1", "0.5"]),
+    ("potential", "sigma"): ("0.3", ["nan", "inf", "0", "-0.3", "1e200"]),
+    ("potential", "amplitude"): ("1.0", ["nan", "-inf", "0", "-1.0", "1e6"]),
+    ("sweep", "step"): ("0.25", ["nan", "inf", "0", "-0.25", "5.0"]),
+    ("solver", "count"): ("3", ["0", "-3", "5000"]),
+    ("solver", "tol"): ("1e-10", ["nan", "inf", "0", "-1e-10", "1.0"]),
+    ("solver", "cluster_tol"): ("1e-3", ["nan", "inf", "0", "-1e-3", "10.0"]),
+    ("circle", "points"): ("64", ["0", "-64", "1024"]),
+    ("circle", "epsilon"): ("0.01", ["nan", "inf", "0", "-0.01", "1e6"]),
+    ("slit", "count"): ("4", ["0", "-4", "64"]),
+    ("multiplicity", "bump_sigma"): ("0.2", ["nan", "inf", "0", "-0.2", "1e200"]),
+    ("multiplicity", "bump_amplitude"): ("40.0", ["nan", "inf", "0", "-40.0", "1e6"]),
+    ("multiplicity", "bump_radius"): ("0.65", ["nan", "inf", "0", "-0.65", "50.0"]),
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(FUZZ_KEYS)), min_size=1, max_size=2, unique=True))
+    sections = {"potential": {"kind": "bump"}, "sweep": {"stop": "0.5"}}
+    for (section, key), (valid, bad) in FUZZ_KEYS.items():
+        value = draw(st.sampled_from(bad)) if (section, key) in keys else valid
+        sections.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items()) for section, items in sections.items()
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(fuzzed_configs(), st.sampled_from(["sweep", "circle", "slit", "multiplicity", "cover", "nodal", "all"]))
+def test_cli_fuzzed_config_exits_cleanly(text, command):
+    # either verdicts (exit 0 or 1) or a one-line error (exit 2), never a traceback
+    with tempfile.TemporaryDirectory() as d:
+        cfgp = os.path.join(d, "c.cfg")
+        with open(cfgp, "w") as f:
+            f.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([command, "--config", cfgp, "--out", os.path.join(d, "r")])
+        wrote = os.path.isfile(os.path.join(d, "r", "verdicts.txt"))
+        assert (code in (0, 1) and wrote) or (code == 2 and not wrote and err.getvalue().startswith("error: ")), (
+            code,
+            err.getvalue(),
+        )
 
 
 def test_cli_all_coarse(tmp_path):
@@ -664,7 +774,8 @@ def _k_path(cfg, grid):
 
 
 def _real_path(cfg, grid):
-    cov, r, mult = _half_flux_ground(cfg, None, grid)
+    cov = _half_flux_cover(grid)
+    r, mult = _half_flux_ground(cfg, cov, None, grid.k)
     U = r.eigenvectors[:, :mult]
     return r, mult, cov, np.concatenate([U, -U])
 

@@ -8,7 +8,7 @@ import pytest
 import fluxlab as fl
 from fluxlab.errors import NoSignChange, PreconditionViolated
 from fluxlab.geometry import full_cells
-from fluxlab.nodal import NodalSet, _cover_components, _cut_rasters
+from fluxlab.nodal import NodalSet, _cover_components, _cut_rasters, values_at_crossings
 
 
 def ground_representatives(grid, flux_field, m=None, tol=1e-11):
@@ -275,6 +275,21 @@ def test_polylines_text(tmp_path, annulus, annulus_half):
     assert len([l for l in text.splitlines() if l and not l.startswith("#")]) == len(nod.polylines[0])
     # plain floats that read back exactly
     assert np.array_equal(np.loadtxt(p, comments="#"), np.vstack(nod.polylines))
+
+
+@pytest.mark.parametrize("fixture, flux", [("annulus", [0.5]), ("two_holes", [0.5, 0.5])])
+def test_values_at_crossings_read_the_marching_squares_nodes(request, fixture, flux):
+    grid = request.getfixturevalue(fixture)
+    _, reps, cov, th = ground_representatives(grid, fl.aharonov_bohm_potential(grid, flux))
+    f = np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real
+    nodes = np.unique(np.vstack(fl.extract_nodal_set(f, cov, grid).polylines), axis=0)
+    # a symmetric g = the x (then y) coordinate interpolates to the crossing points
+    for axis in range(2):
+        got = np.sort(values_at_crossings(f, np.tile(grid.xy[:, axis], 2), cov, grid))
+        assert got.shape == (nodes.shape[0],)
+        assert np.max(np.abs(got - np.sort(nodes[:, axis]))) <= 1e-12
+    # f itself vanishes at its crossings
+    assert np.max(np.abs(values_at_crossings(f, f, cov, grid))) <= 1e-12 * np.max(np.abs(f))
 
 
 def test_report_json_line(annulus, annulus_half):
