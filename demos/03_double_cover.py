@@ -36,6 +36,6 @@ print("eigen-residual of Lu under the real cover operator:",
       np.linalg.norm(lifted.matrix @ lu - r.eigenvalues[0] * lu))
 
 # the antilinear conjugation symmetry that makes all this possible
-K = fl.conjugation_operator(grid, field)
+K = fl.ConjugationOperator(cover)
 u = r.eigenvectors[:, 0]
 print("K^2 = identity:", np.max(np.abs(K.apply(K.apply(u)) - u)) < 1e-12)

@@ -21,9 +21,8 @@ for name, spec, fluxes in (
     r = fl.lowest_eigenpairs(H, 4, tol=1e-11)
     mult = fl.multiplicity_estimate(r.eigenvalues, 1e-3)
 
-    kop = fl.conjugation_operator(grid, field)
-    reps = fl.real_representatives(r.eigenvectors[:, :mult], kop)
     cover = fl.build_cover(fl.as_edge_graph(grid, field))
+    reps = fl.real_representatives(r.eigenvectors[:, :mult], fl.ConjugationOperator(cover))
     theta = fl.build_theta(cover)
 
     print(f"== {name}: k={grid.k}, ground multiplicity {mult}")

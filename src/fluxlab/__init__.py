@@ -25,7 +25,6 @@ from .geometry import (
 from .cover import (
     ConjugationOperator,
     CoverGraph,
-    CoverPhase,
     antisymmetric_block,
     assemble_lifted,
     build_cover,

@@ -1,6 +1,8 @@
 """Command line front end: run named experiments from a config file.
 
-Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 config/IO error.
+Exit codes: 0 all verdicts pass; 1 some verdict failed, or the run stopped
+on a FluxlabError, which prints `error:` and writes no verdicts.txt;
+2 config/IO error.
 """
 
 from __future__ import annotations

@@ -40,6 +40,12 @@ def parse_shape(text: str):
     return shape(*values)
 
 
+def gaussian_bump(xy, center, sigma, amplitude):
+    """amplitude * exp(-|p - center|^2 / (2 sigma^2)) at every point p of xy."""
+    d2 = (xy[:, 0] - center[0]) ** 2 + (xy[:, 1] - center[1]) ** 2
+    return amplitude * np.exp(-0.5 * d2 / np.square(sigma))
+
+
 @dataclass
 class SweepSettings:
     start: float = 0.0
@@ -111,11 +117,10 @@ class ExperimentConfig:
                 V[np.argmin((grid.xy[:, 0] - x) ** 2 + (grid.xy[:, 1] - y) ** 2)] = v
             return V
         cx, cy = p.get("center", (0.0, 0.0))
-        d2 = (grid.xy[:, 0] - cx) ** 2 + (grid.xy[:, 1] - cy) ** 2
         if kind == "radial_well":
             r = p["radius"]
-            return np.where(d2 <= r * r, p["depth"], 0.0)
-        return p["amplitude"] * np.exp(-0.5 * d2 / np.square(p["sigma"]))
+            return np.where((grid.xy[:, 0] - cx) ** 2 + (grid.xy[:, 1] - cy) ** 2 <= r * r, p["depth"], 0.0)
+        return gaussian_bump(grid.xy, (cx, cy), p["sigma"], p["amplitude"])
 
     def sweep_values(self):
         start, stop, step = self.sweep

@@ -23,9 +23,12 @@ from .errors import (
     InconsistentHolonomy,
     NonHalfIntegerFlux,
 )
-from .operators import EdgeGraph, HamiltonianMatrix, assemble
+from .operators import EdgeGraph, HamiltonianMatrix, as_edge_graph, assemble
 
 TWO_PI = 2.0 * np.pi
+_CIRCULATION_TOL = 2e-9  # off an integer, for a doubled fundamental-cycle circulation
+_PHASE_TOL = 1e-10  # radians, for the cover phase's closure and sign flip
+_KEEP_TOL = 1e-6  # shortest Gram-Schmidt candidate that adds a K-fixed direction
 
 
 def spanning_tree(graph: EdgeGraph):
@@ -60,9 +63,9 @@ def spanning_tree(graph: EdgeGraph):
     return order, parent, parent_edge, parent_sign, is_tree
 
 
-def tree_potential(graph: EdgeGraph, tree=None) -> np.ndarray:
+def tree_potential(graph: EdgeGraph, tree) -> np.ndarray:
     """Integral of the link phases along the spanning tree, rooted at 0."""
-    order, parent, parent_edge, parent_sign, _ = tree or spanning_tree(graph)
+    order, parent, parent_edge, parent_sign, _ = tree
     position = np.empty(graph.n, dtype=np.int64)
     position[order] = np.arange(graph.n)
     # parents' BFS positions are nondecreasing along the order, so the
@@ -83,8 +86,6 @@ class CoverGraph:
 
     base: EdgeGraph
     cuts: np.ndarray        # (m,) bool, True where the edge crosses sheets
-    connected: bool
-    circulations: np.ndarray  # (m,) fundamental-cycle circulation per edge (0 on tree edges)
     eta: np.ndarray         # (n,) base tree potential, rooted at vertex 0
     _cover_edges: np.ndarray = field(default=None, repr=False)
 
@@ -95,6 +96,10 @@ class CoverGraph:
     @property
     def n(self):
         return 2 * self.base.n
+
+    @property
+    def connected(self):
+        return bool(self.cuts.any())
 
     @property
     def is_trivial(self):
@@ -123,11 +128,11 @@ class CoverGraph:
         return EdgeGraph(n=self.n, edges=self.cover_edges(), theta=theta, spacing=self.base.spacing)
 
 
-def _half_integer_circulations(graph: EdgeGraph, tol: float):
+def _half_integer_circulations(graph: EdgeGraph):
     """Tree potential and fundamental-cycle circulation per edge (0 on tree edges).
 
     Raises NonHalfIntegerFlux unless every doubled circulation is within
-    tol of an integer.
+    _CIRCULATION_TOL of an integer.
     """
     tree = spanning_tree(graph)
     eta = tree_potential(graph, tree)
@@ -136,7 +141,7 @@ def _half_integer_circulations(graph: EdgeGraph, tol: float):
     circ[tree[4]] = 0.0
     doubled = 2.0 * circ
     off = np.abs(doubled - np.round(doubled))
-    if np.any(off > tol):
+    if np.any(off > _CIRCULATION_TOL):
         worst = int(np.argmax(off))
         raise NonHalfIntegerFlux(
             f"cycle through edge {worst} has circulation {circ[worst]:.9f}"
@@ -144,54 +149,43 @@ def _half_integer_circulations(graph: EdgeGraph, tol: float):
     return eta, circ
 
 
-def build_cover(base: EdgeGraph, tol: float = 1e-9) -> CoverGraph:
+def build_cover(base: EdgeGraph) -> CoverGraph:
     """Construct the cover determined by the link phases.
 
-    Every fundamental-cycle circulation must be an integer or half-integer
-    within tol, else NonHalfIntegerFlux.  The cover is connected iff some
-    cycle is genuinely half-integer; all-integer circulations give the
+    Every doubled fundamental-cycle circulation must be an integer within
+    _CIRCULATION_TOL, else NonHalfIntegerFlux.  The cover is connected iff
+    some cycle is genuinely half-integer; all-integer circulations give the
     trivial two-copy cover.
     """
-    eta, circ = _half_integer_circulations(base, 2 * tol)
+    eta, circ = _half_integer_circulations(base)
     cuts = np.abs(np.round(2.0 * circ).astype(np.int64)) % 2 == 1
-    return CoverGraph(base=base, cuts=cuts, connected=bool(cuts.any()), circulations=circ, eta=eta)
+    return CoverGraph(base=base, cuts=cuts, eta=eta)
 
 
-@dataclass
-class CoverPhase:
-    """Vertex phase on the cover whose gradient matches the lifted link field.
+def build_theta(cover: CoverGraph) -> np.ndarray:
+    """(2n,) cover phase in radians whose gradient matches the lifted link field.
 
-    Single-valued mod 2*pi by construction of the cover; exp(i*values) flips
-    sign under the deck map.
+    The base tree potential eta on sheet 0 and eta + pi on sheet 1: a cut
+    edge closes a half-integer cycle, so pi is the jump it needs.  Raises
+    InconsistentHolonomy unless it closes every lifted edge mod 2*pi and
+    exp(i*theta) flips sign under the deck map, both within _PHASE_TOL.
     """
-
-    cover: CoverGraph
-    values: np.ndarray  # (2n,) radians
-
-    def antisymmetry_defect(self) -> float:
-        z = np.exp(1j * self.values)
-        return float(np.max(np.abs(z[self.cover.deck(np.arange(self.cover.n))] + z)))
-
-
-def build_theta(cover: CoverGraph, tol: float = 1e-10) -> CoverPhase:
-    """The base tree potential eta on sheet 0 and eta + pi on sheet 1: a cut
-    edge closes a half-integer cycle, so pi is the jump it needs."""
     if not cover.connected:
         raise DisconnectedCover("trivial cover: phases integrate per copy, not across sheets")
     cg = cover.as_edge_graph()
-    values = np.concatenate([cover.eta, cover.eta + np.pi])
+    theta = np.concatenate([cover.eta, cover.eta + np.pi])
     a, b = cg.edges[:, 0], cg.edges[:, 1]
-    mism = values[a] + cg.theta - values[b]
+    mism = theta[a] + cg.theta - theta[b]
     off = np.abs(mism - TWO_PI * np.round(mism / TWO_PI))
-    if off.size and off.max() > tol:
+    if off.size and off.max() > _PHASE_TOL:
         raise InconsistentHolonomy(f"cycle phase mismatch up to {off.max():.3e} rad")
-    phase = CoverPhase(cover=cover, values=values)
-    if phase.antisymmetry_defect() > max(tol, 1e-10):
+    z = np.exp(1j * theta)
+    if np.max(np.abs(z[cover.deck(np.arange(cover.n))] + z)) > _PHASE_TOL:
         raise InconsistentHolonomy("cover phase does not flip sign between sheets")
-    return phase
+    return theta
 
 
-def lift_to_cover(u, phase: CoverPhase) -> np.ndarray:
+def lift_to_cover(u, theta) -> np.ndarray:
     """Isometry onto antisymmetric cover functions.
 
     (Lu)(x) = exp(-i*theta(x)) * u(project(x)) / sqrt(2).  The negative
@@ -200,10 +194,9 @@ def lift_to_cover(u, phase: CoverPhase) -> np.ndarray:
     lifted non-magnetic operator.
     """
     u = np.asarray(u).reshape(-1)
-    n = phase.cover.n_base
-    if u.size != n:
-        raise ValueError(f"expected {n} values, got {u.size}")
-    return np.exp(-1j * phase.values) * np.tile(u, 2) / np.sqrt(2.0)
+    if 2 * u.size != theta.size:
+        raise ValueError(f"expected {theta.size // 2} values, got {u.size}")
+    return np.exp(-1j * theta) * np.tile(u, 2) / np.sqrt(2.0)
 
 
 def assemble_lifted(cover: CoverGraph, V=None) -> HamiltonianMatrix:
@@ -230,16 +223,14 @@ def antisymmetric_block(cover: CoverGraph, V=None) -> HamiltonianMatrix:
 class ConjugationOperator:
     """Antilinear involution commuting with the half-flux operator.
 
-    Ku = exp(-i*psi) * conj(u) with the vertex phase psi integrating minus
-    twice the link phases along a base spanning tree; exp(i*psi) is
-    single-valued because doubled circulations are integers.  Fixed vectors
-    of K are the representatives whose cover lift has constant phase.
+    Ku = exp(-i*psi) * conj(u) with psi = -2 * eta, minus twice the cover's
+    base tree potential; exp(i*psi) is single-valued because doubled
+    circulations are integers.  Fixed vectors of K are the representatives
+    whose cover lift has constant phase.
     """
 
-    def __init__(self, graph: EdgeGraph, tol: float = 1e-8):
-        eta, _ = _half_integer_circulations(graph, tol)
-        self.graph = graph
-        self.psi = -2.0 * eta
+    def __init__(self, cover: CoverGraph):
+        self.psi = -2.0 * cover.eta
 
     def apply(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=complex).reshape(-1)
@@ -249,12 +240,10 @@ class ConjugationOperator:
 
 
 def conjugation_operator(grid, field) -> ConjugationOperator:
-    from .operators import as_edge_graph
-
-    return ConjugationOperator(as_edge_graph(grid, field))
+    return ConjugationOperator(build_cover(as_edge_graph(grid, field)))
 
 
-def real_representatives(vectors, kop: ConjugationOperator, keep_tol: float = 1e-6) -> np.ndarray:
+def real_representatives(vectors, kop: ConjugationOperator) -> np.ndarray:
     """Orthonormal K-fixed basis of the span of the given eigenvectors.
 
     For each input column v both v + Kv and i(v - Kv) are K-fixed; a real
@@ -282,7 +271,7 @@ def real_representatives(vectors, kop: ConjugationOperator, keep_tol: float = 1e
                 for q in basis:
                     w = w - q * np.real(np.vdot(q, w))
             nw = np.linalg.norm(w)
-            if nw > keep_tol:
+            if nw > _KEEP_TOL:
                 basis.append(w / nw)
     if len(basis) < m:
         raise DegenerateProjection(

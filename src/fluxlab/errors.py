@@ -9,6 +9,10 @@ class SpecTooCoarse(FluxlabError):
     """Grid spacing too large for the requested domain geometry."""
 
 
+class SpecTooFine(FluxlabError):
+    """Lattice window too large to allocate for the domain at this spacing."""
+
+
 class DisconnectedDomain(FluxlabError):
     """The active vertex set splits into several components."""
 

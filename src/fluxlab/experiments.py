@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, gaussian_bump
 from .cover import (
     ConjugationOperator,
     antisymmetric_block,
@@ -26,7 +26,7 @@ from .cover import (
     lift_to_cover,
 )
 from .eigensolver import gershgorin_bounds, lowest_eigenpairs, multiplicity_estimate
-from .errors import ConfigError, DisconnectedDomain, EmptyFamily, NoConvergence, SpecTooCoarse
+from .errors import ConfigError, DisconnectedDomain, EmptyFamily, NoConvergence, SpecTooCoarse, SpecTooFine
 from .gauge import aharonov_bohm_potential, zero_field
 from .geometry import DomainSpec, GridDomain, build_grid, lattice_symmetries
 from .nodal import extract_nodal_set, polylines_text, topology_report, values_at_crossings
@@ -128,7 +128,7 @@ def discretize(cfg: ExperimentConfig, domain: DomainSpec = None) -> Lattice:
     ConfigError if the grid does not build or has no more vertices than [solver] count."""
     try:
         grid = build_grid(cfg.domain if domain is None else domain)
-    except (SpecTooCoarse, DisconnectedDomain) as exc:
+    except (SpecTooCoarse, SpecTooFine, DisconnectedDomain) as exc:
         raise ConfigError(f"[domain] does not build a grid: {exc}") from exc
     if cfg.solver.count >= grid.n_vertices:
         raise ConfigError(f"[solver] count {cfg.solver.count} needs more than the grid's {grid.n_vertices} vertices")
@@ -520,8 +520,7 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
 
     mu = cfg.multiplicity
     bump_center = (mu.bump_radius * np.cos(mu.bump_angle), mu.bump_radius * np.sin(mu.bump_angle))
-    d2 = (grid.xy[:, 0] - bump_center[0]) ** 2 + (grid.xy[:, 1] - bump_center[1]) ** 2
-    Vb = (V if V is not None else 0.0) + mu.bump_amplitude * np.exp(-0.5 * d2 / np.square(mu.bump_sigma))
+    Vb = (V if V is not None else 0.0) + gaussian_bump(grid.xy, bump_center, mu.bump_sigma, mu.bump_amplitude)
     rb, multb = _half_flux_ground(cfg, cover, Vb, grid.k)
     u = rb.eigenvectors[:, 0]
     nod = extract_nodal_set(np.concatenate([u, -u]), cover, grid)
@@ -615,7 +614,7 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
         )
     )
 
-    K = ConjugationOperator(cov.base)
+    K = ConjugationOperator(cov)
     norm = max(map(abs, gershgorin_bounds(H.matrix)))
     rng = np.random.default_rng(s.seed)
     worst_sq = worst_comm = 0.0
@@ -704,7 +703,7 @@ def run_nodal(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
         # a degenerate pair: disjoint nodal sets, and u2 vanishes nowhere
         # on the nodal set of u1
         shared = len(nodal_sets[0].crossed_cells & nodal_sets[1].crossed_cells)
-        at = values_at_crossings(lifts[0], lifts[1], cov, grid)
+        at = values_at_crossings(lifts[1], nodal_sets[0])
         floor = float(np.min(np.abs(at)) / np.max(np.abs(lifts[1])))
         verdicts.append(
             Verdict(

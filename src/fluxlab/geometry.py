@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import DisconnectedDomain, NoSuchHole, SpecTooCoarse
+from .errors import DisconnectedDomain, NoSuchHole, SpecTooCoarse, SpecTooFine
 
 # containment tolerance: keeps lattice points that land on the analytic
 # boundary (e.g. 150*0.02 vs 3.0) inside the closed shape
@@ -287,16 +287,26 @@ def full_cells(mask):
     return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
 
 
+# lattice points in the index window of build_grid: its rasters peak at
+# about 180 bytes per point, so the cap stands for about 1.8 GB
+MAX_WINDOW_POINTS = 10_000_000
+
+
 def build_grid(spec: DomainSpec) -> GridDomain:
     """Discretize a DomainSpec on the lattice spacing*Z^2.
 
     Raises SpecTooCoarse when a hole fails to swallow a full lattice cell or
-    a gap is narrower than three cells, DisconnectedDomain when the active
-    set splits.
+    a gap is narrower than three cells, SpecTooFine when the index window
+    would hold more than MAX_WINDOW_POINTS points, DisconnectedDomain when
+    the active set splits.
     """
     spec.validate()
     h = spec.spacing
     xmin, ymin, xmax, ymax = spec.outer.bbox()
+    # sized in floats before any allocation; a bbox too wide for floats is inf
+    points = ((xmax - xmin) / h + 5) * ((ymax - ymin) / h + 5)
+    if points > MAX_WINDOW_POINTS:
+        raise SpecTooFine(f"a lattice window of {points:.3g} points exceeds the cap of {MAX_WINDOW_POINTS:.0e}")
     i0 = math.floor(xmin / h) - 2
     i1 = math.ceil(xmax / h) + 2
     j0 = math.floor(ymin / h) - 2

@@ -30,6 +30,7 @@ class NodalSet:
     polylines: list            # list of (p, 2) float arrays
     endpoint_labels: list      # (start, end) component labels, None for closed curves
     crossed_cells: frozenset   # window cell coordinates (a, b)
+    crossings: list            # (tail, head, t) per contour node: the lifted edge read, t from its tail
     cover: CoverGraph
 
     @property
@@ -146,6 +147,7 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
     mixed = cells & signs.any(axis=0) & ~signs.all(axis=0)
 
     nodes = {}     # edge key -> crossing point
+    crossings = []  # (tail, head, t) per node
     segments = []  # (key1, key2, (a, b))
 
     def crossing(key, va, vb, sa, sb):
@@ -157,6 +159,7 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
             pa = grid.xy[va]
             pb = grid.xy[vb]
             nodes[key] = pa + t * (pb - pa)
+            crossings.append((va + n * sa, vb + n * sb, t))
         return key
 
     for a, b in np.argwhere(mixed):
@@ -272,36 +275,20 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
         polylines=polylines,
         endpoint_labels=endpoint_labels,
         crossed_cells=frozenset(crossed),
+        crossings=crossings,
         cover=cover,
     )
 
 
-def values_at_crossings(f, g, cover: CoverGraph, grid: GridDomain) -> np.ndarray:
-    """g interpolated at every zero crossing of f on the lattice edges that
-    marching squares reads, the edges of fully active cells.
+def values_at_crossings(g, nodal: NodalSet) -> np.ndarray:
+    """g interpolated at each crossing that marching squares found, along the
+    lifted edge it read there.
 
-    f and g are real antisymmetric cover functions.  Each edge is read on
-    its sheet-0 lift, so the sign flips on cut edges; antisymmetry puts the
-    crossing at the same point on the other lift.  Round-off zeros of f
-    count as zero (`_zero_band`), as in `extract_nodal_set`.
+    g is a real cover function; for an antisymmetric g, a crossing read on
+    a sheet-1 lift gives minus the value of the sheet-0 lift at that point.
     """
-    f = _zero_band(np.asarray(f, dtype=float).reshape(-1))
     g = np.asarray(g, dtype=float).reshape(-1)
-    cells = full_cells(grid._active)
-    ex, ey = grid._edge_raster
-    # an x-edge is the south side of its cell and the north side of the one
-    # below; a y-edge the west side of its cell and the east side of the one
-    # to its left
-    x_used = np.zeros(ex.shape, dtype=bool)
-    x_used[:-1, :-1] |= cells
-    x_used[:-1, 1:] |= cells
-    y_used = np.zeros(ey.shape, dtype=bool)
-    y_used[:-1, :-1] |= cells
-    y_used[1:, :-1] |= cells
-    edges = cover.cover_edges()[np.concatenate([ex[x_used], ey[y_used]])]
-    a, b = edges[_sign(f[edges[:, 0]]) != _sign(f[edges[:, 1]])].T
-    t = f[a] / (f[a] - f[b])
-    return g[a] + t * (g[b] - g[a])
+    return np.array([g[a] + t * (g[b] - g[a]) for a, b, t in nodal.crossings])
 
 
 def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:
@@ -373,7 +360,6 @@ def circle_zero_points(f, cover: CoverGraph) -> np.ndarray:
     point each.
     """
     f = _zero_band(np.asarray(f, dtype=float).reshape(-1))
-    n = cover.n_base
     h = cover.base.spacing
     base_tail = cover.project(cover.cover_edges()[:, 0])
     angles = []

@@ -23,7 +23,7 @@ def _shape_element(shape, fill, stroke):
 
 
 def nodal_svg(spec, nodal_sets, path):
-    """Write the domain outline and one or more nodal sets to an SVG file."""
+    """Write the domain outline and a list of nodal sets to an SVG file."""
     xmin, ymin, xmax, ymax = spec.outer.bbox()
     pad = 0.05 * max(xmax - xmin, ymax - ymin)
     view = f"{xmin - pad} {-ymax - pad} {xmax - xmin + 2 * pad} {ymax - ymin + 2 * pad}"
@@ -33,8 +33,6 @@ def nodal_svg(spec, nodal_sets, path):
     ]
     for hole in spec.holes:
         lines.append(_shape_element(hole, "#ffffff", "#333333"))
-    if not isinstance(nodal_sets, (list, tuple)):
-        nodal_sets = [nodal_sets]
     for s, nodal in enumerate(nodal_sets):
         color = _COLORS[s % len(_COLORS)]
         for poly in nodal.polylines:

@@ -94,11 +94,10 @@ def test_circle_cover_phase_closed_form():
     th = fl.build_theta(cov)
     # gradient of the cover phase is pi/8 on every cover edge, mod 2 pi
     for (x, y), t in zip(cov.cover_edges(), np.tile(cg.theta, 2)):
-        d = th.values[y] - th.values[x] - t
+        d = th[y] - th[x] - t
         assert abs(d - 2 * np.pi * round(d / (2 * np.pi))) < 1e-10
-    assert th.antisymmetry_defect() < 1e-10
     # half-turn on the base accumulates pi on the cover
-    z = np.exp(1j * th.values)
+    z = np.exp(1j * th)
     assert np.max(np.abs(z[cov.deck(np.arange(16))] + z)) < 1e-10
 
 
@@ -106,7 +105,7 @@ def test_annulus_cover_phase_single_valued(annulus, annulus_cover):
     cov, th = annulus_cover
     cg = cov.as_edge_graph()
     a, b = cg.edges[:, 0], cg.edges[:, 1]
-    mism = th.values[a] + cg.theta - th.values[b]
+    mism = th[a] + cg.theta - th[b]
     off = np.abs(mism - 2 * np.pi * np.round(mism / (2 * np.pi)))
     assert off.max() < 1e-10
 
@@ -325,8 +324,6 @@ def test_inconsistent_holonomy():
     bad = fl.CoverGraph(
         base=fl.EdgeGraph(n=8, edges=cg.edges, theta=cg.theta + np.eye(8)[0] * 0.3, spacing=cg.spacing),
         cuts=cov.cuts,
-        connected=cov.connected,
-        circulations=cov.circulations,
         eta=cov.eta,
     )
     with pytest.raises(InconsistentHolonomy):
@@ -337,7 +334,7 @@ def test_wrong_cut_raises_inconsistent_holonomy(annulus, annulus_cover):
     cov, _ = annulus_cover
     cuts = cov.cuts.copy()
     cuts[np.argmax(~cuts)] = True
-    bad = fl.CoverGraph(base=cov.base, cuts=cuts, connected=True, circulations=cov.circulations, eta=cov.eta)
+    bad = fl.CoverGraph(base=cov.base, cuts=cuts, eta=cov.eta)
     with pytest.raises(InconsistentHolonomy):
         fl.build_theta(bad)
 
@@ -350,7 +347,26 @@ def test_build_theta_builds_no_tree(annulus, annulus_cover, monkeypatch):
 
     monkeypatch.setattr(fl.cover, "spanning_tree", no_tree)
     monkeypatch.setattr(fl.cover, "tree_potential", no_tree)
-    assert np.array_equal(fl.build_theta(cov).values, th.values)
+    assert np.array_equal(fl.build_theta(cov), th)
+
+
+@pytest.mark.parametrize("case", ["annulus", "two_holes", "circle"])
+def test_conjugation_reads_the_cover_potential(request, case, monkeypatch):
+    if case == "circle":
+        graph = fl.circle_graph(64, 0.5)
+    else:
+        grid = request.getfixturevalue(case)
+        graph = fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5] * grid.k))
+    cov = fl.build_cover(graph)
+    # psi as integrated along a tree of the base graph of its own
+    want = -2.0 * tree_potential(graph, spanning_tree(graph))
+
+    def no_tree(graph, *tree):
+        raise AssertionError(f"tree built on {graph.n} vertices")
+
+    monkeypatch.setattr(fl.cover, "spanning_tree", no_tree)
+    monkeypatch.setattr(fl.cover, "tree_potential", no_tree)
+    assert np.array_equal(fl.ConjugationOperator(cov).psi, want)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -363,7 +379,7 @@ def test_cover_phase_is_the_base_gauge_on_random_domains(grid):
     # oracle: the lifted link phases integrated along a tree of the cover
     cg = cov.as_edge_graph()
     want = tree_potential(cg, spanning_tree(cg))
-    assert np.max(np.abs(np.exp(1j * th.values) - np.exp(1j * want))) <= 1e-10
+    assert np.max(np.abs(np.exp(1j * th) - np.exp(1j * want))) <= 1e-10
     # the lift carries magnetic eigenpairs to lifted ones, within the
     # lift-intertwines-eigenpairs budget
     tol = 1e-10

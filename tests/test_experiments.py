@@ -630,8 +630,10 @@ def test_cli_count_beyond_the_grid_exits_2(tmp_path):
         BASE_DOMAIN.replace("spacing = 0.05", "spacing = 0.4"),
         # the hole contains no lattice cell
         BASE_DOMAIN.replace("disk 0.0 0.0 0.3", "disk 0.0 0.0 0.01"),
+        # a 2e7 x 2e7 index window, refused before it is allocated
+        BASE_DOMAIN.replace("disk 0.0 0.0 1.0", "disk 0 0 1e6").replace("spacing = 0.05", "spacing = 0.1"),
     ],
-    ids=["gap-below-3h", "hole-below-a-cell"],
+    ids=["gap-below-3h", "hole-below-a-cell", "window-beyond-the-cap"],
 )
 def test_cli_grid_that_does_not_build_exits_2(tmp_path, domain, capsys):
     cfgp = tmp_path / "c.cfg"
@@ -665,7 +667,10 @@ def test_cli_one_hole_experiment_on_two_holes_exits_2(tmp_path, command, radius)
 # each key's valid value on a coarse annulus, then the values a fuzzed key
 # may take instead: not finite, zero, negative, or too big for the grid
 FUZZ_KEYS = {
-    ("domain", "outer"): ("disk 0 0 1.0", ["disk 0 0 nan", "disk 0 0 inf", "disk 0 0 0", "disk 0 0 -1", "disk 0 0 0.2"]),
+    ("domain", "outer"): (
+        "disk 0 0 1.0",
+        ["disk 0 0 nan", "disk 0 0 inf", "disk 0 0 0", "disk 0 0 -1", "disk 0 0 0.2", "disk 0 0 1e6"],
+    ),
     ("domain", "hole1"): (
         "disk 0 0 0.3",
         ["disk nan 0 0.3", "disk 0 0 inf", "disk 0 0 0", "disk 0 0 -0.3", "disk 0 0 2.0", "disk 5 0 0.3"],

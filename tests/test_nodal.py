@@ -8,7 +8,7 @@ import pytest
 import fluxlab as fl
 from fluxlab.errors import NoSignChange, PreconditionViolated
 from fluxlab.geometry import full_cells
-from fluxlab.nodal import NodalSet, _cover_components, _cut_rasters, values_at_crossings
+from fluxlab.nodal import NodalSet, _cover_components, _cut_rasters, _sign, _zero_band, values_at_crossings
 
 
 def ground_representatives(grid, flux_field, m=None, tol=1e-11):
@@ -150,7 +150,7 @@ def oracle_cover_components(nodal, grid, free):
 
 def hand_nodal_set(grid, cover, lines, labels):
     cells = frozenset().union(*[rasterize_polyline(grid, line) for line in lines])
-    return NodalSet(polylines=lines, endpoint_labels=labels, crossed_cells=cells, cover=cover)
+    return NodalSet(polylines=lines, endpoint_labels=labels, crossed_cells=cells, crossings=[], cover=cover)
 
 
 def test_cover_components_match_oracle(annulus, annulus_half, annulus_cover, two_holes):
@@ -178,7 +178,7 @@ def test_cover_components_match_oracle(annulus, annulus_half, annulus_cover, two
 
 def test_empty_nodal_set_fails_parity(annulus, annulus_cover):
     cov, _ = annulus_cover
-    empty = NodalSet(polylines=[], endpoint_labels=[], crossed_cells=frozenset(), cover=cov)
+    empty = NodalSet(polylines=[], endpoint_labels=[], crossed_cells=frozenset(), crossings=[], cover=cov)
     rep = fl.topology_report(empty, annulus)
     assert not rep.parity_ok
     assert not rep.passes_slitting
@@ -199,6 +199,7 @@ def test_two_radial_lines_disconnect(annulus, annulus_cover):
         polylines=lines,
         endpoint_labels=[(1, 0), (1, 0)],
         crossed_cells=frozenset(cells),
+        crossings=[],
         cover=cov,
     )
     rep = fl.topology_report(synth, annulus)
@@ -212,7 +213,7 @@ def test_removing_a_line_breaks_parity(annulus, annulus_half, two_holes):
     _, reps, cov, th = ground_representatives(annulus, annulus_half)
     nod = fl.extract_nodal_set(np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real, cov, annulus)
     assert fl.topology_report(nod, annulus).passes_slitting
-    stripped = NodalSet(polylines=[], endpoint_labels=[], crossed_cells=frozenset(), cover=cov)
+    stripped = NodalSet(polylines=[], endpoint_labels=[], crossed_cells=frozenset(), crossings=[], cover=cov)
     assert not fl.topology_report(stripped, annulus).passes_slitting
 
     # two-hole case: drop each line of a passing set in turn
@@ -230,6 +231,7 @@ def test_removing_a_line_breaks_parity(annulus, annulus_half, two_holes):
             )
             if keep
             else frozenset(),
+            crossings=[],
             cover=cov2,
         )
         assert not fl.topology_report(sub, two_holes).parity_ok
@@ -251,7 +253,7 @@ def test_circle_single_zero_point():
     th = fl.build_theta(cov)
     H = fl.assemble_circle(n, 0.5)
     r = fl.lowest_eigenpairs(H, 2, tol=1e-12)
-    K = fl.ConjugationOperator(cg)
+    K = fl.ConjugationOperator(cov)
     reps = fl.real_representatives(r.eigenvectors[:, :2], K)
     zeros = []
     for j in range(2):
@@ -282,14 +284,44 @@ def test_values_at_crossings_read_the_marching_squares_nodes(request, fixture, f
     grid = request.getfixturevalue(fixture)
     _, reps, cov, th = ground_representatives(grid, fl.aharonov_bohm_potential(grid, flux))
     f = np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real
-    nodes = np.unique(np.vstack(fl.extract_nodal_set(f, cov, grid).polylines), axis=0)
+    nod = fl.extract_nodal_set(f, cov, grid)
+    nodes = np.unique(np.vstack(nod.polylines), axis=0)
     # a symmetric g = the x (then y) coordinate interpolates to the crossing points
     for axis in range(2):
-        got = np.sort(values_at_crossings(f, np.tile(grid.xy[:, axis], 2), cov, grid))
+        got = np.sort(values_at_crossings(np.tile(grid.xy[:, axis], 2), nod))
         assert got.shape == (nodes.shape[0],)
         assert np.max(np.abs(got - np.sort(nodes[:, axis]))) <= 1e-12
     # f itself vanishes at its crossings
-    assert np.max(np.abs(values_at_crossings(f, f, cov, grid))) <= 1e-12 * np.max(np.abs(f))
+    assert np.max(np.abs(values_at_crossings(f, nod))) <= 1e-12 * np.max(np.abs(f))
+
+
+def test_crossings_are_the_lifted_edges_marching_squares_read():
+    # at spacing 0.05 the nodal line between the two holes runs along the
+    # lattice row y = 0.5, through vertices in the zero band
+    spec = fl.DomainSpec(
+        outer=fl.Rect(0, 0, 3.0, 1.0),
+        holes=(fl.Disk(1.0, 0.5, 0.2), fl.Disk(2.0, 0.5, 0.2)),
+        spacing=0.05,
+    )
+    grid = fl.build_grid(spec)
+    cov = fl.build_cover(fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5, 0.5])))
+    u = fl.lowest_eigenpairs(fl.antisymmetric_block(cov), 1, tol=1e-10).eigenvectors[:, 0]
+    f = np.concatenate([u, -u])
+    nod = fl.extract_nodal_set(f, cov, grid)
+    on_row = np.abs(np.vstack(nod.polylines)[:, 1] - 0.5) < 1e-12
+    assert np.count_nonzero(on_row) >= 10
+    # one crossing per distinct polyline node, each on a lifted edge whose
+    # ends f puts on opposite sides of zero (zeros count as positive)
+    nodes = np.unique(np.vstack(nod.polylines), axis=0)
+    assert len(nod.crossings) == nodes.shape[0]
+    lifted = set(map(tuple, cov.cover_edges().tolist()))
+    g = _zero_band(f)
+    for a, b, t in nod.crossings:
+        assert (a, b) in lifted
+        assert _sign(g[a]) != _sign(g[b]) and 0.0 <= t <= 1.0
+    for axis in range(2):
+        got = np.sort(values_at_crossings(np.tile(grid.xy[:, axis], 2), nod))
+        assert np.max(np.abs(got - np.sort(nodes[:, axis]))) <= 1e-12
 
 
 def test_report_json_line(annulus, annulus_half):
