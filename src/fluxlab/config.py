@@ -190,6 +190,8 @@ def _potential_params(cp, path, kind):
             f"{' (center optional)' if 'center' in takes else ''}, got {', '.join(given) or 'none'}"
         )
     params = {k: _value(cp, "potential", k, () if k == "center" else 0.0) for k in given if k != "file"}
+    if kind == "bump" and not params["sigma"] > 0:
+        raise ConfigError(f"[potential] sigma must be positive, got {params['sigma']}")
     if len(params.get("center", (0, 0))) != 2:
         raise ConfigError(f"bad [potential] center = {cp['potential']['center']!r}: expected two numbers")
     if "file" in given:
@@ -266,6 +268,8 @@ def load_config(path, *, _referenced_by=None) -> ExperimentConfig:
         raise ConfigError(f"[slit] count must be at least 1, got {slit.count}")
     if domain.k >= 1 and not 1 <= slit.hole <= domain.k:
         raise ConfigError(f"[slit] hole {slit.hole} outside 1..{domain.k}")
+    if not s["multiplicity"].bump_sigma > 0:
+        raise ConfigError(f"[multiplicity] bump_sigma must be positive, got {s['multiplicity'].bump_sigma}")
     if s["circle"].points < 64:
         raise ConfigError(f"[circle] points must be at least 64, got {s['circle'].points}")
 

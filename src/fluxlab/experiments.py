@@ -173,37 +173,50 @@ _FLIP_PAIRS = tuple((0.5 + t, 0.5 - t) for t in (0.1, 0.2, 0.3, 0.4))
 _PEAK = (0.5, 0.45)
 
 
+def _flux_class(t):
+    """The flux in [0, 1/2] whose spectrum equals that of t: an integer
+    shift of the flux is a gauge, and complex conjugation maps t to -t."""
+    t = float(t) % 1.0
+    return min(t, 1.0 - t)
+
+
 def _sweep_fluxes(ts, k):
-    """Every flux that run_flux_sweep's rows and verdicts read."""
+    """Every flux that run_flux_sweep solves: the class of each sweep row,
+    and on its own each flux that a verdict compares."""
     pairs = _SHIFT_PAIRS + _FLIP_PAIRS
-    return list(ts) + [t for pair in pairs for t in pair] + [0.0] + (list(_PEAK) if k == 1 else [])
+    rows = [_flux_class(t) for t in ts]
+    return rows + [t for pair in pairs for t in pair] + [0.0] + (list(_PEAK) if k == 1 else [])
 
 
 def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Sweep the flux and check periodicity, flip symmetry, the strict
-    zero-flux minimum and (one hole) maximality at half flux."""
+    zero-flux minimum and (one hole) maximality at half flux.
+
+    The rows, the margins and the argmax read each flux's class; the
+    periodicity and half-flux-symmetry verdicts, the claims that make the
+    classes hold, compare two solves of their own.
+    """
     grid = lattice.grid
     s = cfg.solver
     ts = cfg.sweep_values()
     spectra = _sweep_spectra(cfg, lattice, _sweep_fluxes(ts, grid.k))
 
-    def lam1(t):
+    def spectrum(t):
         r = spectra[round(float(t), 12)]
         if isinstance(r, NoConvergence):
             raise r
-        return float(r.eigenvalues[0])
+        return r
+
+    def lam1(t):
+        return float(spectrum(t).eigenvalues[0])
 
     rows = []
     for t in ts:
-        # a flux that did not converge keeps its row: its best result and multiplicity -1
-        r = spectra[round(float(t), 12)]
-        failed = isinstance(r, NoConvergence)
-        best = r.best_result if failed else r
-        mult = -1 if failed else multiplicity_estimate(best.eigenvalues, s.cluster_tol)
+        r = spectrum(_flux_class(t))
         rows.append(
             tuple([t] * grid.k)
-            + tuple(float(x) for x in best.eigenvalues[:3])
-            + (mult, float(np.max(best.residuals)))
+            + tuple(float(x) for x in r.eigenvalues[:3])
+            + (multiplicity_estimate(r.eigenvalues, s.cluster_tol), float(np.max(r.residuals)))
         )
 
     def max_deviation(pairs):
@@ -228,7 +241,7 @@ def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     )
     lam0 = lam1(0.0)
     noninteger = [t for t in ts if min(abs(t - round(t)), 1.0) > 1e-9]
-    margins = {t: lam1(t) - lam0 for t in noninteger}
+    margins = {t: lam1(_flux_class(t)) - lam0 for t in noninteger}
     min_margin = min(margins.values()) if margins else np.inf
     margin_quarter = margins.get(0.25, np.nan)
     verdicts.append(
@@ -240,7 +253,7 @@ def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
         )
     )
     if grid.k == 1:
-        lam_by_t = {t: lam1(t) for t in ts}
+        lam_by_t = {t: lam1(_flux_class(t)) for t in ts}
         t_max = max(lam_by_t, key=lam_by_t.get)
         rise = lam1(_PEAK[0]) - lam1(_PEAK[1])
         verdicts.append(

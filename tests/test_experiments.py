@@ -21,12 +21,17 @@ from fluxlab.cli import cli_main
 from fluxlab.config import ExperimentConfig, load_config, parse_shape
 from fluxlab.errors import ConfigError, EmptyFamily, NoConvergence
 from fluxlab.experiments import (
+    _FLIP_PAIRS,
+    _PEAK,
+    _SHIFT_PAIRS,
     Lattice,
     _fan_out,
+    _flux_class,
     _half_flux_cover,
     _half_flux_ground,
     _slit_minimum,
     _slit_orbits,
+    _sweep_fluxes,
     _sweep_spectra,
     discretize,
     run_circle_check,
@@ -311,6 +316,15 @@ step = 0.25
 """
 
 
+def sweep_cfg(holes, coarse_cfg, tmp_path):
+    """The coarse one-hole config, or TWO_HOLES_COARSE."""
+    if holes == 1:
+        return coarse_cfg
+    path = tmp_path / "two.cfg"
+    path.write_text(TWO_HOLES_COARSE)
+    return load_config(path)
+
+
 def stall_eigsh_at(monkeypatch, grid, flux):
     """Make ARPACK report no convergence on the sweep matrix of one flux."""
     target = fl.assemble_magnetic(grid, fl.aharonov_bohm_potential(grid, [flux] * grid.k)).matrix
@@ -327,35 +341,22 @@ def stall_eigsh_at(monkeypatch, grid, flux):
 
 @pytest.mark.parametrize("holes, flux", [(2, 1.0), (1, 0.25)])
 def test_sweep_failure_through_the_pool(holes, flux, coarse_cfg, tmp_path, monkeypatch):
-    # two holes: flux 1 is a sweep row that no verdict reads, so the sweep
-    # passes with a -1 row; one hole: the strict-minimum verdict reads flux
-    # 0.25, so the sweep raises
-    if holes == 2:
-        path = tmp_path / "two.cfg"
-        path.write_text(TWO_HOLES_COARSE)
-        cfg = load_config(path)
-    else:
-        cfg = coarse_cfg
-    stall_eigsh_at(monkeypatch, fl.build_grid(cfg.domain), flux)  # before the fork
+    # the solve of the row's flux class stalls: two holes, the row at flux 1
+    # reads flux 0; one hole, flux 0.25 is its own class.  The strict-minimum
+    # verdict reads every class, so no row keeps a failed solve: the sweep raises
+    cfg = sweep_cfg(holes, coarse_cfg, tmp_path)
+    stall_eigsh_at(monkeypatch, fl.build_grid(cfg.domain), _flux_class(flux))  # before the fork
     outcomes = []
     for n in (2, 1):
         usable_cpus(monkeypatch, n)
         out = tmp_path / f"cpus{n}"
         out.mkdir()
-        try:
-            rows, verdicts = run_flux_sweep(cfg, discretize(cfg), out_dir=out)
-        except NoConvergence as exc:
-            outcomes.append(("raised", str(exc), exc.best_result.eigenvalues.tobytes()))
-        else:
-            outcomes.append((rows, [v.line() for v in verdicts], (out / "sweep.csv").read_bytes()))
+        with pytest.raises(NoConvergence) as exc:
+            run_flux_sweep(cfg, discretize(cfg), out_dir=out)
+        outcomes.append((str(exc.value), exc.value.best_result.eigenvalues.tobytes()))
         assert multiprocessing.active_children() == []
+        assert not (out / "sweep.csv").exists()
     assert outcomes[0] == outcomes[1]
-    if holes == 2:
-        rows = outcomes[0][0]
-        assert [r[5] for r in rows if r[0] == flux] == [-1]
-        assert all(r[5] >= 1 for r in rows if r[0] != flux)
-    else:
-        assert outcomes[0][0] == "raised"
 
 
 def test_sweep_cache_keeps_no_eigenvectors(coarse_cfg, monkeypatch):
@@ -460,6 +461,31 @@ def test_slit_orbits_match_independent_solves(monkeypatch):
         want = fl.lowest_eigenpairs(fl.assemble_slit(grid, zf, slit=slit), 1, tol=s.tol, seed=s.seed).eigenvalues[0]
         assert size == len(slit.vertices)
         assert abs(lam - want) <= 1e-12 * want, j
+
+
+@pytest.mark.parametrize("holes", [1, 2])
+def test_flux_classes_match_independent_solves(holes, coarse_cfg, tmp_path):
+    # rows at 0.75 and 1 read the solves at 0.25 and 0
+    cfg = sweep_cfg(holes, coarse_cfg, tmp_path)
+    lattice = discretize(cfg)
+    grid, s = lattice.grid, cfg.solver
+    rows, _ = run_flux_sweep(cfg, lattice)
+    assert [r[0] for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    for row in rows:
+        H = fl.assemble_magnetic(grid, fl.aharonov_bohm_potential(grid, [row[0]] * grid.k))
+        want = fl.lowest_eigenpairs(H, s.count, tol=s.tol, seed=s.seed).eigenvalues
+        bound = s.tol * max(map(abs, fl.eigensolver.gershgorin_bounds(H.matrix)))
+        assert np.all(np.abs(np.array(row[grid.k : grid.k + 3]) - want[:3]) <= bound), row
+        assert row[grid.k + 3] == fl.multiplicity_estimate(want, s.cluster_tol), row
+
+
+def test_sweep_solves_one_flux_per_class_and_each_verdict_flux():
+    ts = load_config("configs/annulus.cfg").sweep_values()
+    keys = {round(t, 12) for t in _sweep_fluxes(ts, 1)}
+    assert len(ts) == 41 and len(keys) == 29
+    verdict_fluxes = [t for pair in _SHIFT_PAIRS + _FLIP_PAIRS for t in pair] + [0.0, *_PEAK]
+    # 1.1 and 0.9 are solved as they are, not as their class 0.1
+    assert {round(t, 12) for t in verdict_fluxes} <= keys
 
 
 @pytest.mark.parametrize(
@@ -613,6 +639,23 @@ def test_cli_bad_value_exits_2(tmp_path, section, line):
     with pytest.raises(ConfigError):
         load_config(cfgp)
     assert cli_main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("sweep", "[potential]\nkind = bump\ncenter = 0.5 0\nsigma = 0\namplitude = 1.0\n"),
+        ("multiplicity", "[multiplicity]\nbump_sigma = 0\nbump_radius = 0.5\nbump_angle = 0\n"),
+    ],
+    ids=["sigma", "bump_sigma"],
+)
+def test_cli_gaussian_width_not_positive_exits_2(tmp_path, command, section, capsys):
+    # the bump is centred on a lattice vertex, where a zero width made the
+    # potential 0/0 and the run stop with exit 1
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(BASE_DOMAIN.replace("spacing = 0.05", "spacing = 0.1") + section)
+    assert cli_main([command, "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
+    assert "sigma must be positive" in capsys.readouterr().err
 
 
 def test_cli_count_beyond_the_grid_exits_2(tmp_path):
