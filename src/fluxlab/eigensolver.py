@@ -121,13 +121,15 @@ def _rayleigh_ritz(A, V, m) -> EigenResult:
     return EigenResult(eigenvalues=mu[:m], eigenvectors=U, residuals=res)
 
 
-def lowest_eigenpairs(H, m: int, tol: float = 1e-10, seed: int = DEFAULT_SEED) -> EigenResult:
+def lowest_eigenpairs(H, m: int, tol: float = 1e-10, seed: int = DEFAULT_SEED, bounds=None) -> EigenResult:
     """Compute the m smallest eigenpairs of a sparse Hermitian matrix.
 
-    tol is relative: every returned residual satisfies
-    ||A u - lambda u|| <= tol * gershgorin_norm(A).  Raises NoConvergence
-    (with the best result attached) when ARPACK stops short or a residual
-    misses that bound.
+    bounds is a (lower, upper) pair that encloses the spectrum, by default
+    gershgorin_bounds(A); the shift comes from lower and the norm from
+    both.  tol is relative: every returned residual satisfies
+    ||A u - lambda u|| <= tol * norm.  Raises NoConvergence (with the best
+    result attached) when ARPACK stops short or a residual misses that
+    bound.
     """
     A = _as_matrix(H)
     n = A.shape[0]
@@ -137,13 +139,13 @@ def lowest_eigenpairs(H, m: int, tol: float = 1e-10, seed: int = DEFAULT_SEED) -
         raise ValueError("tol must be positive")
 
     with _one_blas_thread():
-        return _solve(A, m, tol, seed)
+        return _solve(A, m, tol, seed, bounds or gershgorin_bounds(A))
 
 
-def _solve(A, m, tol, seed) -> EigenResult:
+def _solve(A, m, tol, seed, bounds) -> EigenResult:
     """Shift-invert ARPACK plus Rayleigh-Ritz; the body of lowest_eigenpairs."""
     n = A.shape[0]
-    lower, upper = gershgorin_bounds(A)
+    lower, upper = bounds
     norm_a = max(abs(lower), abs(upper), 1e-300)
     k = m + 2
     if k >= n - 1:

@@ -8,8 +8,15 @@ reads as a list of verified statements.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
+import pickle
+import select
+import signal
+import struct
+import sys
+import traceback
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +32,7 @@ from .cover import (
     build_theta,
     lift_to_cover,
 )
-from .eigensolver import gershgorin_bounds, lowest_eigenpairs, multiplicity_estimate
+from .eigensolver import EigenResult, gershgorin_bounds, lowest_eigenpairs, multiplicity_estimate
 from .errors import ConfigError, DisconnectedDomain, EmptyFamily, NoConvergence, SpecTooCoarse, SpecTooFine
 from .gauge import aharonov_bohm_potential, zero_field
 from .geometry import DomainSpec, GridDomain, build_grid, lattice_symmetries
@@ -67,47 +74,101 @@ def write_verdicts(path, verdicts):
             f.write(v.line() + "\n")
 
 
-# (job, items) of the _fan_out call that forked this worker; None elsewhere
-_worker_job = None
-
-
-def _start_worker(job, items):
-    global _worker_job
-    _worker_job = (job, items)
-
-
-def _worker_call(i):
-    job, items = _worker_job
-    return job(items[i])
+# True in a worker that _fan_out forked
+_in_worker = False
 
 
 def _fan_out(job, items):
     """[job(x) for x in items], spread over one forked worker per usable CPU.
 
     Runs in-process when one CPU or one item is available, where fork is
-    missing, and inside a worker.  Forked workers inherit the job and the
-    items, so only indices and results are pickled.  Results come back in
-    item order; the first item whose job raised, in item order, raises here,
-    and a worker that dies raises BrokenProcessPool.
+    missing, and inside a worker.  The workers inherit the job and the
+    items and take item indices from one shared pipe, so a worker that is
+    ahead takes more items.  Each pickles its results into a pipe of its
+    own once no index is left, so no worker waits on the reader while it
+    computes.  Results come back in item order; the first item whose job
+    raised, in item order, raises here, and a worker that dies raises
+    BrokenProcessPool, once the others are stopped.
     """
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(items))
-    if workers > 1 and _worker_job is None:
-        # imported here, as cover imports csgraph: no cost to runs that never fork
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if workers < 2 or _in_worker or not hasattr(os, "fork"):
+        return [job(x) for x in items]
+    # a worker's exit must not write what the parent has buffered again
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, pipes, outcomes, read_all = [], [], {}, False
+    tasks, feed = (os.fdopen(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+    try:
+        for _ in range(workers):
+            fd, wfd = os.pipe()
+            pipes.append(os.fdopen(fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    feed.close()  # else no worker would see the end of the indices
+                    _work(job, items, tasks.fileno(), wfd)
+                pids.append(pid)
+            finally:
+                os.close(wfd)
+        tasks.close()
+        # 4-byte indices in writes of at most PIPE_BUF bytes, each atomic, so
+        # a worker's 4-byte read takes one whole index.  A write fails only
+        # once every worker is gone, and reading their pipes reports that
+        indices = struct.pack(f"<{len(items)}I", *range(len(items)))
+        with contextlib.suppress(BrokenPipeError):
+            for k in range(0, len(indices), select.PIPE_BUF):
+                feed.write(indices[k : k + select.PIPE_BUF])
+        feed.close()
+        for pipe in pipes:
+            try:
+                outcomes.update(pickle.loads(pipe.read()))
+            except (EOFError, pickle.UnpicklingError) as exc:
+                # imported here: only a dead worker needs the executor module
+                from concurrent.futures.process import BrokenProcessPool
 
-        # a daemonic process (a multiprocessing.Pool worker) may not fork
-        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_worker,
-                initargs=(job, items),
-            ) as pool:
-                return list(pool.map(_worker_call, range(len(items))))
-    return [job(x) for x in items]
+                raise BrokenProcessPool("a forked worker died before it sent its results") from exc
+        read_all = True
+    finally:
+        for pipe in (tasks, feed, *pipes):
+            pipe.close()
+        for pid in pids:
+            if not read_all:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i in range(len(items)):
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+    return [outcomes[i][1] for i in range(len(items))]
+
+
+def _work(job, items, tasks, fd):
+    """The body of a forked worker: run job on items[i] for each index i
+    read from tasks until none is left, pickle {i: (ok, result or
+    exception)} into fd and exit, never returning to the caller."""
+    global _in_worker
+    _in_worker = True
+    code = 1
+    try:
+        out = {}
+        while index := os.read(tasks, 4):
+            (i,) = struct.unpack("<I", index)
+            try:
+                out[i] = (True, job(items[i]))
+            except Exception as exc:
+                out[i] = (False, exc)
+        with os.fdopen(fd, "wb") as f:
+            pickle.dump(out, f, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
 
 
 class Lattice(NamedTuple):
@@ -492,18 +553,104 @@ def _half_flux_cover(grid):
     return build_cover(as_edge_graph(grid, field))
 
 
-def _half_flux_ground(cfg: ExperimentConfig, cover, V, k):
-    """Lowest half-flux eigenpairs, solved as the cover's real antisymmetric block.
+def _reflection(B, lattice: Lattice):
+    """(p, d) for the first lattice involution p that keeps V and lifts to
+    the half-flux block B as the signed permutation S = D P, (S u)_v =
+    d_v u_p(v), with S B S^T = B bit for bit and S^2 = I; None if none does.
+
+    B[p][:, p] has B's entries up to the signs that the cut edges put on
+    its hops, and d two-colours those sign flips: in the two-sheet graph
+    of B, where a flipped entry changes sheet (as nodal._cover_components
+    does with cut edges), d_v says whether (v, 0) lies in the component of
+    (0, 0).
+    """
+    from scipy.sparse.csgraph import connected_components  # see cover.spanning_tree
+
+    n = B.shape[0]
+    ident = np.arange(n)
+    coo = B.tocoo()
+    r, c = coo.row, coo.col
+    for p in _symmetries(lattice):
+        if np.array_equal(p, ident) or not np.array_equal(p[p], ident):
+            continue
+        image = np.asarray(B[p[r], p[c]]).ravel()
+        flip = (np.signbit(image) != np.signbit(coo.data)).astype(np.int64)
+        rows = np.concatenate([r, r + n])
+        cols = np.concatenate([c + n * flip, c + n * (1 - flip)])
+        two = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
+        labels = connected_components(two, directed=False)[1]
+        d = np.where(labels[:n] == labels[0], 1.0, -1.0)
+        if np.all(d * d[p] == 1.0) and np.array_equal(d[r] * d[c] * image, coo.data):
+            return p, d
+    return None
+
+
+def _sector_bases(p, d):
+    """Orthonormal sparse bases of the +1 and -1 eigenspaces of S = D P.
+
+    A vertex that p fixes gives e_v to the sector of sign d_v, and a pair
+    v < p(v) gives (e_v + sign * d_v e_p(v)) / sqrt(2) to each; columns
+    follow their least vertex.
+    """
+    n = p.size
+    v = np.arange(n)
+    bases = []
+    for sign in (1.0, -1.0):
+        lead = np.flatnonzero((v < p) | ((v == p) & (d == sign)))
+        pair = p[lead] != lead
+        col = np.arange(lead.size)
+        w = np.where(pair, np.sqrt(0.5), 1.0)
+        vals = np.concatenate([w, sign * d[lead[pair]] * w[pair]])
+        rows = np.concatenate([lead, p[lead[pair]]])
+        bases.append(sparse.csr_matrix((vals, (rows, np.concatenate([col, col[pair]]))), shape=(n, lead.size)))
+    return bases
+
+
+def _half_flux_ground(cfg: ExperimentConfig, lattice: Lattice, cover):
+    """Lowest half-flux eigenpairs, solved as the cover's real antisymmetric
+    block B, and their multiplicity.
 
     The block's spectrum is the magnetic one.  Its eigenvectors u are real,
     and concat(u, -u) is the antisymmetric cover function of each, so the
     nodal sets need no cover phase and no conjugation.  With k holes, at least
     k + 2 pairs are solved, so a multiplicity above the k + 1 bound can show.
+
+    When a lattice reflection lifts to B (_reflection), B splits into its
+    two sectors Q^T B Q, each with more than m unknowns, solved as one
+    _fan_out batch; else the one sector is B.  Each sector shifts from B's
+    Gershgorin bounds: they enclose its spectrum, where its own lower bound
+    sinks far lower at the couplings of the mirror.  The lowest m of the
+    union, embedded, are checked against B itself.
     """
     s = cfg.solver
-    m = max(s.count, 4, k + 2)
-    r = lowest_eigenpairs(antisymmetric_block(cover, V=V), m, tol=s.tol, seed=s.seed)
-    return r, multiplicity_estimate(r.eigenvalues, s.cluster_tol)
+    m = max(s.count, 4, lattice.grid.k + 2)
+    B = antisymmetric_block(cover, V=lattice.V).matrix
+    bounds = gershgorin_bounds(B)
+    reflection = _reflection(B, lattice)
+    bases = [] if reflection is None else _sector_bases(*reflection)
+    if not bases or min(Q.shape[1] for Q in bases) <= m:
+        bases = [None]
+
+    def solve(Q):
+        def embed(r):
+            return r if Q is None else EigenResult(r.eigenvalues, Q @ r.eigenvectors, r.residuals)
+
+        try:
+            return embed(lowest_eigenpairs(B if Q is None else Q.T @ B @ Q, m, tol=s.tol, seed=s.seed, bounds=bounds))
+        except NoConvergence as exc:
+            exc.best_result = embed(exc.best_result)
+            raise
+
+    sectors = _fan_out(solve, bases)
+    lam = np.concatenate([r.eigenvalues for r in sectors])
+    keep = np.argsort(lam, kind="stable")[:m]
+    U = np.hstack([r.eigenvectors for r in sectors])[:, keep]
+    lam = lam[keep]
+    r = EigenResult(lam, U, np.linalg.norm(B @ U - U * lam, axis=0))
+    norm = max(abs(bounds[0]), abs(bounds[1]))
+    if np.any(r.residuals > s.tol * norm):
+        raise NoConvergence(f"half-flux residuals {r.residuals} exceed {s.tol} * {norm:.3e}", best_result=r)
+    return r, multiplicity_estimate(lam, s.cluster_tol)
 
 
 def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
@@ -516,7 +663,7 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
     verdicts = []
 
     cover = _half_flux_cover(grid)
-    r, mult = _half_flux_ground(cfg, cover, V, grid.k)
+    r, mult = _half_flux_ground(cfg, lattice, cover)
     width = s.cluster_tol * (1.0 + abs(r.eigenvalues[0]))
     gap_above = float(r.eigenvalues[mult] - r.eigenvalues[mult - 1]) if mult < len(r.eigenvalues) else np.nan
     symmetric = _centrally_symmetric(lattice)
@@ -534,7 +681,7 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
     mu = cfg.multiplicity
     bump_center = (mu.bump_radius * np.cos(mu.bump_angle), mu.bump_radius * np.sin(mu.bump_angle))
     Vb = (V if V is not None else 0.0) + gaussian_bump(grid.xy, bump_center, mu.bump_sigma, mu.bump_amplitude)
-    rb, multb = _half_flux_ground(cfg, cover, Vb, grid.k)
+    rb, multb = _half_flux_ground(cfg, Lattice(grid, Vb), cover)
     u = rb.eigenvectors[:, 0]
     nod = extract_nodal_set(np.concatenate([u, -u]), cover, grid)
     report = topology_report(nod, grid)
@@ -672,9 +819,9 @@ def run_nodal(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Extract the half-flux ground nodal sets and verify the slitting
     topology claims on the reports, the multiplicity bound k + 1 and, for a
     degenerate pair, disjoint nodal sets."""
-    grid, V = lattice
+    grid = lattice.grid
     cov = _half_flux_cover(grid)
-    r, mult = _half_flux_ground(cfg, cov, V, grid.k)
+    r, mult = _half_flux_ground(cfg, lattice, cov)
 
     verdicts = []
     reports = []

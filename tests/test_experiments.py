@@ -1,5 +1,5 @@
-"""Config parsing, experiment runners, CSV determinism, the worker pool and
-CLI exit codes."""
+"""Config parsing, experiment runners, CSV determinism, the fork fan-out,
+the half-flux sectors and CLI exit codes."""
 
 import contextlib
 import dataclasses
@@ -18,7 +18,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import fluxlab as fl
 from fluxlab.cli import cli_main
-from fluxlab.config import ExperimentConfig, load_config, parse_shape
+from fluxlab.config import ExperimentConfig, gaussian_bump, load_config, parse_shape
+from fluxlab.eigensolver import gershgorin_bounds
 from fluxlab.errors import ConfigError, EmptyFamily, NoConvergence
 from fluxlab.experiments import (
     _FLIP_PAIRS,
@@ -29,6 +30,8 @@ from fluxlab.experiments import (
     _flux_class,
     _half_flux_cover,
     _half_flux_ground,
+    _reflection,
+    _sector_bases,
     _slit_minimum,
     _slit_orbits,
     _sweep_fluxes,
@@ -41,6 +44,7 @@ from fluxlab.experiments import (
     run_nodal,
     run_slit_infimum,
 )
+from test_geometry import small_domains
 
 COARSE = """
 [domain]
@@ -260,26 +264,42 @@ def square_and_pid(x):
     return x * x, os.getpid()
 
 
+def assert_no_children():
+    """No worker is left running or unreaped.  active_children() sees only
+    multiprocessing's own children; waitpid sees those of os.fork too."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_fan_out_forks_one_worker_per_cpu(monkeypatch):
     usable_cpus(monkeypatch, 2)
     out = _fan_out(square_and_pid, range(8))
-    assert multiprocessing.active_children() == []
+    assert_no_children()
     assert [sq for sq, _ in out] == [x * x for x in range(8)]
     pids = {pid for _, pid in out}
     assert os.getpid() not in pids and 1 <= len(pids) <= 2
     # inside a worker the helper runs in-process
     nested = _fan_out(lambda x: (os.getpid(), _fan_out(square_and_pid, range(3))), range(2))
-    assert multiprocessing.active_children() == []
+    assert_no_children()
     for pid, inner in nested:
         assert {p for _, p in inner} == {pid}
     # the first failing item in item order raises in the parent
     with pytest.raises(ValueError, match="item -1"):
         _fan_out(square_and_pid, [3, -1, 2, -2])
-    assert multiprocessing.active_children() == []
+    assert_no_children()
     # a worker that dies raises, and the other is stopped
     with pytest.raises(BrokenProcessPool):
         _fan_out(lambda x: os._exit(1) if x == 1 else x, range(4))
-    assert multiprocessing.active_children() == []
+    assert_no_children()
+    # both workers send more than a pipe buffer (64 KiB) at once
+    big = _fan_out(lambda x: np.full(100_000, float(x)), range(2))
+    assert_no_children()
+    assert [b.shape for b in big] == [(100_000,)] * 2
+    assert [float(b[0]) for b in big] == [0.0, 1.0]
+    # more item indices than one atomic pipe write holds (1024)
+    assert _fan_out(lambda x: -x, range(5000)) == [-x for x in range(5000)]
+    assert_no_children()
 
 
 def test_fan_out_in_process_on_one_cpu(monkeypatch):
@@ -294,9 +314,9 @@ def test_pooled_runs_match_one_cpu(coarse_cfg, tmp_path, monkeypatch):
         out = tmp_path / f"cpus{n}"
         out.mkdir()
         sweep_rows, sweep_verdicts = run_flux_sweep(coarse_cfg, discretize(coarse_cfg), out_dir=out)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         slit_rows, slit_verdicts = run_slit_infimum(coarse_cfg, discretize(coarse_cfg), out_dir=out, refine=True)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         lines = [v.line() for v in sweep_verdicts + slit_verdicts]
         outputs.append((sweep_rows, slit_rows, lines, (out / "sweep.csv").read_bytes(), (out / "slit.csv").read_bytes()))
     assert outputs[0] == outputs[1]
@@ -354,7 +374,7 @@ def test_sweep_failure_through_the_pool(holes, flux, coarse_cfg, tmp_path, monke
         with pytest.raises(NoConvergence) as exc:
             run_flux_sweep(cfg, discretize(cfg), out_dir=out)
         outcomes.append((str(exc.value), exc.value.best_result.eigenvalues.tobytes()))
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         assert not (out / "sweep.csv").exists()
     assert outcomes[0] == outcomes[1]
 
@@ -570,8 +590,8 @@ def test_collinear_pair_fails_both_halves_of_disjointness(coarse_cfg, monkeypatc
     # u2 := u1: the pair shares every crossed cell, and u2 vanishes on u1's crossings
     ground = fl.experiments._half_flux_ground
 
-    def collinear(*args):
-        r, mult = ground(*args)
+    def collinear(cfg, lattice, cover):
+        r, mult = ground(cfg, lattice, cover)
         U = r.eigenvectors.copy()
         U[:, 1] = U[:, 0]
         return dataclasses.replace(r, eigenvectors=U), mult
@@ -823,7 +843,7 @@ def _k_path(cfg, grid):
 
 def _real_path(cfg, grid):
     cov = _half_flux_cover(grid)
-    r, mult = _half_flux_ground(cfg, cov, None, grid.k)
+    r, mult = _half_flux_ground(cfg, Lattice(grid, None), cov)
     U = r.eigenvectors[:, :mult]
     return r, mult, cov, np.concatenate([U, -U])
 
@@ -862,3 +882,90 @@ def test_real_half_flux_pair_spans_k_path_plane(annulus):
     # singular values 1
     sv = np.linalg.svd(F_old.T @ F / 2.0, compute_uv=False)
     assert np.max(np.abs(sv - 1.0)) <= 1e-10
+
+
+def same_bits(A, B):
+    """Whether two sparse matrices store the same entries, bit for bit."""
+    A, B = A.tocsr(), B.tocsr()
+    A.sort_indices()
+    B.sort_indices()
+    return all(np.array_equal(x, y) for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data.view(np.int64), B.data.view(np.int64))))
+
+
+def check_half_flux_split(grid, V=None):
+    """_half_flux_ground on grid against one solve of the whole block B:
+    equal eigenvalues within tol * norm, equal multiplicity and equal ground
+    eigenspaces; where B splits, S B S^T = B bit for bit and S^2 = I.
+    Returns the number of sectors solved."""
+    cfg = ExperimentConfig(domain=grid.spec)
+    s = cfg.solver
+    lattice = Lattice(grid, V)
+    cov = _half_flux_cover(grid)
+    B = fl.antisymmetric_block(cov, V=V).matrix
+    n = B.shape[0]
+    reflection = _reflection(B, lattice)
+    if reflection is not None:
+        p, d = reflection
+        S = sparse.csr_matrix((d, (np.arange(n), p)), shape=(n, n))  # (S u)_v = d_v u_p(v)
+        assert same_bits(S @ B @ S.T, B)
+        assert same_bits(S @ S, sparse.identity(n, format="csr"))
+        assert sum(Q.shape[1] for Q in _sector_bases(p, d)) == n
+    # every sector shifts from B's bounds, not its own
+    bounds = []
+    solve = fl.experiments.lowest_eigenpairs
+
+    def recorded(A, m, **kwargs):
+        bounds.append(kwargs["bounds"])
+        return solve(A, m, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        usable_cpus(mp, 1)  # in-process, so the recorder sees each sector
+        mp.setattr(fl.experiments, "lowest_eigenpairs", recorded)
+        r, mult = _half_flux_ground(cfg, lattice, cov)
+    assert bounds == [gershgorin_bounds(B)] * len(bounds)
+    r0 = fl.lowest_eigenpairs(B, r.eigenvalues.size, tol=s.tol, seed=s.seed)
+    assert np.max(np.abs(r.eigenvalues - r0.eigenvalues)) <= s.tol * max(map(abs, gershgorin_bounds(B)))
+    assert mult == fl.multiplicity_estimate(r0.eigenvalues, s.cluster_tol)
+    sv = np.linalg.svd(r0.eigenvectors[:, :mult].T @ r.eigenvectors[:, :mult], compute_uv=False)
+    assert np.max(np.abs(sv - 1.0)) <= 1e-10
+    return len(bounds)
+
+
+@pytest.mark.parametrize("fixture, sectors", [("annulus", 2), ("two_holes", 2), ("offset_annulus", 1)])
+def test_half_flux_sectors_match_one_block(request, fixture, sectors):
+    assert check_half_flux_split(request.getfixturevalue(fixture)) == sectors
+
+
+def test_point_reflection_lift_squares_to_minus_one(annulus):
+    # two bumps keep only the point reflection, whose lift around the hole at
+    # half flux squares to -I: no sectors, and the pair stays degenerate
+    V = sum(gaussian_bump(annulus.xy, c, 0.2, 40.0) for c in ((0.5, 0.3), (-0.5, -0.3)))
+    assert len(fl.experiments._symmetries(Lattice(annulus, V))) == 2
+    assert _reflection(fl.antisymmetric_block(_half_flux_cover(annulus), V=V).matrix, Lattice(annulus, V)) is None
+    assert check_half_flux_split(annulus, V) == 1
+
+
+def test_half_flux_sectors_on_random_domains():
+    sectors = []
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(small_domains())
+    def check(grid):
+        sectors.append(check_half_flux_split(grid))
+
+    check()
+    # the draws hold domains that split and domains that do not
+    assert set(sectors) == {1, 2}
+
+
+def test_half_flux_sectors_through_the_fork(annulus, monkeypatch):
+    # two CPUs: the sectors solve in forked workers, with the in-process result
+    cfg = ExperimentConfig(domain=annulus.spec)
+    lattice, cov = Lattice(annulus, None), _half_flux_cover(annulus)
+    results = []
+    for n in (2, 1):
+        usable_cpus(monkeypatch, n)
+        r, mult = _half_flux_ground(cfg, lattice, cov)
+        assert_no_children()
+        results.append((r.eigenvalues.tobytes(), r.eigenvectors.tobytes(), mult))
+    assert results[0] == results[1]
