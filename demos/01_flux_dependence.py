@@ -31,3 +31,9 @@ print("\nlambda1(0)   =", lams[0.0], " (zero mode)")
 print("lambda1(0.5) =", lams[0.5], " (maximum)")
 print("lambda1(1.0) =", lams[1.0], " (gauge equivalent to zero flux)")
 print("symmetry |lambda1(0.3) - lambda1(0.7)| =", abs(lams[0.3] - lams[0.7]))
+
+# only the circulation matters: a gauge change chi leaves the spectrum alone
+chi = np.random.default_rng(0).uniform(-np.pi, np.pi, grid.n_vertices)
+gauged = fl.gauge_transform(fl.aharonov_bohm_potential(grid, [0.3]), chi)
+lam = fl.lowest_eigenpairs(fl.assemble_magnetic(grid, gauged), 2, tol=1e-10).eigenvalues[0]
+print("gauge change |lambda1(0.3) - lambda1(0.3, chi)| =", abs(lams[0.3] - lam))

@@ -1,10 +1,12 @@
 """Nodal sets of half-flux ground states slit the domain.
 
-A conjugation-fixed ground representative lifts to a real antisymmetric
-eigenfunction on the double cover; its zero contour, projected back down,
-is a union of boundary-to-boundary lines with connected complement and an
-odd number of endpoints on every hole.  For one hole: a single line from
-the inner to the outer boundary.
+At half flux the magnetic operator is the twofold cover's real
+antisymmetric block, as `fluxlab nodal` solves it.  Each real ground
+eigenvector u is conjugation-fixed, and concat(u, -u) is its antisymmetric
+eigenfunction on the cover.  The zero contour of that function, projected
+back down, is a union of boundary-to-boundary lines with connected
+complement and an odd number of endpoints on every hole.  For one hole: a
+single line from the inner to the outer boundary.
 """
 
 import numpy as np
@@ -17,19 +19,14 @@ for name, spec, fluxes in (
 ):
     grid = fl.build_grid(spec)
     field = fl.aharonov_bohm_potential(grid, fluxes)
-    H = fl.assemble_magnetic(grid, field)
-    r = fl.lowest_eigenpairs(H, 4, tol=1e-11)
-    mult = fl.multiplicity_estimate(r.eigenvalues, 1e-3)
-
     cover = fl.build_cover(fl.as_edge_graph(grid, field))
-    reps = fl.real_representatives(r.eigenvectors[:, :mult], fl.ConjugationOperator(cover))
-    theta = fl.build_theta(cover)
+    r = fl.lowest_eigenpairs(fl.antisymmetric_block(cover), 4, tol=1e-11)
+    mult = fl.multiplicity_estimate(r.eigenvalues, 1e-3)
 
     print(f"== {name}: k={grid.k}, ground multiplicity {mult}")
     nodal_sets = []
-    for j in range(mult):
-        f = np.sqrt(2) * fl.lift_to_cover(reps[:, j], theta).real
-        nod = fl.extract_nodal_set(f, cover, grid)
+    for u in r.eigenvectors[:, :mult].T:
+        nod = fl.extract_nodal_set(np.concatenate([u, -u]), cover, grid)
         nodal_sets.append(nod)
         print("  ", fl.topology_report(nod, grid).to_json_line())
     fl.nodal_svg(spec, nodal_sets, f"nodal_{name.replace(' ', '_')}.svg")

@@ -8,7 +8,6 @@ from .gauge import (
     aharonov_bohm_potential,
     circulation,
     gauge_transform,
-    integer_flux_shift,
     zero_field,
 )
 from .geometry import (
@@ -20,7 +19,6 @@ from .geometry import (
     build_grid,
     hole_loop,
     lattice_symmetries,
-    winding_number,
 )
 from .cover import (
     ConjugationOperator,
@@ -29,15 +27,11 @@ from .cover import (
     assemble_lifted,
     build_cover,
     build_theta,
-    conjugation_operator,
     lift_to_cover,
-    real_representative,
-    real_representatives,
 )
 from .nodal import (
     NodalSet,
     SlitReport,
-    circle_zero_points,
     extract_nodal_set,
     topology_report,
 )
@@ -51,7 +45,6 @@ from .operators import (
     assemble_magnetic,
     assemble_slit,
     circle_graph,
-    make_slit,
     radial_slit,
     shortest_slit,
 )

@@ -15,20 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
-    DegenerateProjection,
     DisconnectedCover,
     DisconnectedDomain,
     InconsistentHolonomy,
     NonHalfIntegerFlux,
 )
-from .operators import EdgeGraph, HamiltonianMatrix, as_edge_graph, assemble
+from .operators import EdgeGraph, HamiltonianMatrix, assemble
 
 TWO_PI = 2.0 * np.pi
 _CIRCULATION_TOL = 2e-9  # off an integer, for a doubled fundamental-cycle circulation
 _PHASE_TOL = 1e-10  # radians, for the cover phase's closure and sign flip
-_KEEP_TOL = 1e-6  # shortest Gram-Schmidt candidate that adds a K-fixed direction
 
 
 def spanning_tree(graph: EdgeGraph):
@@ -126,6 +125,21 @@ class CoverGraph:
     def as_edge_graph(self, zero_phase=False) -> EdgeGraph:
         theta = np.zeros(2 * self.base.theta.size) if zero_phase else np.tile(self.base.theta, 2)
         return EdgeGraph(n=self.n, edges=self.cover_edges(), theta=theta, spacing=self.base.spacing)
+
+
+def two_sheet_components(t0, t1, flip, n):
+    """(count, labels) of the connected components of a two-sheet graph.
+
+    Node t + n * s is base node t on sheet s; each base link t0 -- t1 joins
+    equal sheets where flip is 0 and changes sheet where it is 1, as a cut
+    edge does on the cover.
+    """
+    from scipy.sparse.csgraph import connected_components  # see spanning_tree
+
+    rows = np.concatenate([t0, t0 + n])
+    cols = np.concatenate([t1 + n * flip, t1 + n * (1 - flip)])
+    g = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
+    return connected_components(g, directed=False)
 
 
 def _half_integer_circulations(graph: EdgeGraph):
@@ -237,49 +251,3 @@ class ConjugationOperator:
         return np.exp(-1j * self.psi) * np.conj(u)
 
     __call__ = apply
-
-
-def conjugation_operator(grid, field) -> ConjugationOperator:
-    return ConjugationOperator(build_cover(as_edge_graph(grid, field)))
-
-
-def real_representatives(vectors, kop: ConjugationOperator) -> np.ndarray:
-    """Orthonormal K-fixed basis of the span of the given eigenvectors.
-
-    For each input column v both v + Kv and i(v - Kv) are K-fixed; a real
-    Gram-Schmidt over those candidates recovers one fixed vector per complex
-    dimension.  Inner products between K-fixed vectors are real, so the
-    returned columns are orthonormal in the full complex inner product too.
-    """
-    U = np.asarray(vectors, dtype=complex)
-    if U.ndim == 1:
-        U = U[:, None]
-    m = U.shape[1]
-    basis = []
-    for j in range(m):
-        v = U[:, j]
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            continue
-        v = v / nv
-        kv = kop.apply(v)
-        for cand in (v + kv, 1j * (v - kv)):
-            if len(basis) == m:
-                break
-            w = cand.copy()
-            for _ in range(2):
-                for q in basis:
-                    w = w - q * np.real(np.vdot(q, w))
-            nw = np.linalg.norm(w)
-            if nw > _KEEP_TOL:
-                basis.append(w / nw)
-    if len(basis) < m:
-        raise DegenerateProjection(
-            f"found {len(basis)} conjugation-fixed directions for a {m}-dimensional span"
-        )
-    return np.column_stack(basis)
-
-
-def real_representative(u, kop: ConjugationOperator) -> np.ndarray:
-    """Single K-fixed representative of a one-dimensional eigenspace."""
-    return real_representatives(u, kop)[:, 0]

@@ -61,10 +61,6 @@ class DisconnectedCover(FluxlabError):
     """Operation requires a connected twofold cover."""
 
 
-class DegenerateProjection(FluxlabError):
-    """Conjugation-fixed projection of an eigenbasis collapsed."""
-
-
 class NoSignChange(FluxlabError):
     """Function has no sign change on the cover; no contour exists."""
 

@@ -31,6 +31,7 @@ from .cover import (
     build_cover,
     build_theta,
     lift_to_cover,
+    two_sheet_components,
 )
 from .eigensolver import EigenResult, gershgorin_bounds, lowest_eigenpairs, multiplicity_estimate
 from .errors import ConfigError, DisconnectedDomain, EmptyFamily, NoConvergence, SpecTooCoarse, SpecTooFine
@@ -560,12 +561,9 @@ def _reflection(B, lattice: Lattice):
 
     B[p][:, p] has B's entries up to the signs that the cut edges put on
     its hops, and d two-colours those sign flips: in the two-sheet graph
-    of B, where a flipped entry changes sheet (as nodal._cover_components
-    does with cut edges), d_v says whether (v, 0) lies in the component of
-    (0, 0).
+    of B, where a flipped entry changes sheet, d_v says whether (v, 0)
+    lies in the component of (0, 0).
     """
-    from scipy.sparse.csgraph import connected_components  # see cover.spanning_tree
-
     n = B.shape[0]
     ident = np.arange(n)
     coo = B.tocoo()
@@ -575,10 +573,7 @@ def _reflection(B, lattice: Lattice):
             continue
         image = np.asarray(B[p[r], p[c]]).ravel()
         flip = (np.signbit(image) != np.signbit(coo.data)).astype(np.int64)
-        rows = np.concatenate([r, r + n])
-        cols = np.concatenate([c + n * flip, c + n * (1 - flip)])
-        two = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
-        labels = connected_components(two, directed=False)[1]
+        labels = two_sheet_components(r, c, flip, n)[1]
         d = np.where(labels[:n] == labels[0], 1.0, -1.0)
         if np.all(d * d[p] == 1.0) and np.array_equal(d[r] * d[c] * image, coo.data):
             return p, d

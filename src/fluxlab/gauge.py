@@ -71,20 +71,6 @@ def gauge_transform(field: LinkField, chi) -> LinkField:
     return LinkField(grid=field.grid, theta=field.theta + chi[heads] - chi[tails])
 
 
-def integer_flux_shift(grid: GridDomain, field: LinkField, l) -> LinkField:
-    """Add the canonical potential of an integer flux vector l.
-
-    Circulations shift by l; the spectrum of the assembled operator is
-    unchanged because integer-circulation phases are a lattice gradient.
-    """
-    l = np.asarray(l, dtype=float).reshape(-1)
-    if l.size != grid.k:
-        raise LengthMismatch(f"expected {grid.k} integers, got {l.size}")
-    if np.any(np.abs(l - np.round(l)) > 1e-12):
-        raise LengthMismatch("flux shift must be an integer vector")
-    return LinkField(grid=grid, theta=field.theta + aharonov_bohm_potential(grid, l).theta)
-
-
 def plaquette_sums(field: LinkField) -> np.ndarray:
     """Oriented phase sum around every fully active plaquette.
 

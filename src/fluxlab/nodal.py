@@ -16,9 +16,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .cover import CoverGraph
+from .cover import CoverGraph, two_sheet_components
 from .errors import NoSignChange, PreconditionViolated
 from .geometry import GridDomain, full_cells, label_components
 
@@ -88,17 +87,18 @@ _ZERO_BAND = 1e3 * np.finfo(float).eps
 def _zero_band(f):
     """f with its round-off zeros (|f| <= _ZERO_BAND * max|f|) set to 0.0.
 
-    Every zero then lies on the positive side of `_sign`, whatever sign bit
-    the solver left on it, and a crossing at such a vertex sits exactly on
-    the vertex, so a round-off change moves no polyline.
+    Every zero then takes the side that `_sign` gives its sheet, whatever
+    sign bit the solver left on it, and a crossing at such a vertex sits
+    exactly on the vertex, so a round-off change moves no polyline.
     """
     return np.where(np.abs(f) <= _ZERO_BAND * np.max(np.abs(f)), 0.0, f)
 
 
-def _sign(x):
-    # zeros are nudged to the positive side; identical for both lifts since
-    # -0.0 == 0.0; elementwise on arrays
-    return (x > 0.0) | (x == 0.0)
+def _sign(x, sheet=0):
+    # zeros count as positive on sheet 0 and negative on sheet 1, so the two
+    # lifts of a vertex always read opposite signs and the contour does not
+    # depend on the anchor sheet; elementwise on arrays
+    return (x > 0.0) | ((x == 0.0) & (sheet == 0))
 
 
 def _cut_rasters(grid: GridDomain, cover: CoverGraph):
@@ -138,11 +138,13 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
 
     # only cells whose anchored-lift corners differ in sign hold a crossing
     s10 = anchor_sheet ^ cx[:-1, :-1]
+    s01 = anchor_sheet ^ cy[:-1, :-1]
+    s11 = s10 ^ cy[1:, :-1]
     signs = np.stack([
-        _sign(f[vid[:-1, :-1] + n * anchor_sheet]),
-        _sign(f[vid[1:, :-1] + n * s10]),
-        _sign(f[vid[:-1, 1:] + n * (anchor_sheet ^ cy[:-1, :-1])]),
-        _sign(f[vid[1:, 1:] + n * (s10 ^ cy[1:, :-1])]),
+        _sign(f[vid[:-1, :-1] + n * anchor_sheet], anchor_sheet),
+        _sign(f[vid[1:, :-1] + n * s10], s10),
+        _sign(f[vid[:-1, 1:] + n * s01], s01),
+        _sign(f[vid[1:, 1:] + n * s11], s11),
     ])
     mixed = cells & signs.any(axis=0) & ~signs.all(axis=0)
 
@@ -152,7 +154,7 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
 
     def crossing(key, va, vb, sa, sb):
         fa, fb = f[va + n * sa], f[vb + n * sb]
-        if _sign(fa) == _sign(fb):
+        if _sign(fa, sa) == _sign(fb, sb):
             return None
         if key not in nodes:
             t = fa / (fa - fb)
@@ -180,8 +182,8 @@ def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int 
         if len(hits) == 2:
             segments.append((hits[0], hits[1], cell))
         elif len(hits) == 4:
-            center_pos = _sign(f[v00 + n * s00] + f[v10 + n * s10] + f[v01 + n * s01] + f[v11 + n * s11])
-            if center_pos == _sign(f[v00 + n * s00]):
+            center_pos = _sign(f[v00 + n * s00] + f[v10 + n * s10] + f[v01 + n * s01] + f[v11 + n * s11], s00)
+            if center_pos == _sign(f[v00 + n * s00], s00):
                 segments.append((south, east, cell))
                 segments.append((north, west, cell))
             else:
@@ -331,8 +333,6 @@ def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:
 
 def _cover_components(nodal: NodalSet, grid: GridDomain, free) -> int:
     """Components of the lifted free cells; sheets propagate through cut bits."""
-    from scipy.sparse.csgraph import connected_components  # see cover.spanning_tree
-
     n_free = int(np.count_nonzero(free))
     if n_free == 0:
         return 0
@@ -340,43 +340,14 @@ def _cover_components(nodal: NodalSet, grid: GridDomain, free) -> int:
     na, nb = free.shape
     index = np.full(free.shape, -1, dtype=np.int64)
     index[free] = np.arange(n_free)
-    # node t + n_free * s is free cell t on sheet s; a step across a cut edge
-    # changes sheet: cx[a, b] links (a, b) to (a + 1, b), cy[a, b] to (a, b + 1)
+    # a step across a cut edge changes sheet: cx[a, b] links (a, b) to
+    # (a + 1, b), cy[a, b] links (a, b) to (a, b + 1)
     x_link = free[:-1, :] & free[1:, :]
     y_link = free[:, :-1] & free[:, 1:]
     t0 = np.concatenate([index[:-1, :][x_link], index[:, :-1][y_link]])
     t1 = np.concatenate([index[1:, :][x_link], index[:, 1:][y_link]])
     cut = np.concatenate([cx[: na - 1, :nb][x_link], cy[:na, : nb - 1][y_link]]).astype(np.int64)
-    rows = np.concatenate([t0, t0 + n_free])
-    cols = np.concatenate([t1 + n_free * cut, t1 + n_free * (1 - cut)])
-    g = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n_free, 2 * n_free))
-    return int(connected_components(g, directed=False)[0])
-
-
-def circle_zero_points(f, cover: CoverGraph) -> np.ndarray:
-    """Projected zeros of a real antisymmetric function on the circle cover.
-
-    Returns sorted angles in [0, 2*pi); antipodal cover zeros project to one
-    point each.
-    """
-    f = _zero_band(np.asarray(f, dtype=float).reshape(-1))
-    h = cover.base.spacing
-    base_tail = cover.project(cover.cover_edges()[:, 0])
-    angles = []
-    for e, (x, y) in enumerate(cover.cover_edges()):
-        fa, fb = f[x], f[y]
-        if _sign(fa) == _sign(fb):
-            continue
-        t = fa / (fa - fb)
-        angles.append(((base_tail[e] + t) * h) % (2 * np.pi))
-    if not angles:
-        raise NoSignChange("no sign change on the cover circle")
-    angles = np.sort(np.array(angles))
-    keep = [angles[0]]
-    for a in angles[1:]:
-        if a - keep[-1] > 1e-9 and (2 * np.pi - (a - keep[0])) > 1e-9:
-            keep.append(a)
-    return np.array(keep)
+    return int(two_sheet_components(t0, t1, cut, n_free)[0])
 
 
 def polylines_text(nodal: NodalSet, path):

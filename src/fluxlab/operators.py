@@ -77,10 +77,6 @@ class HamiltonianMatrix:
     def n(self):
         return self.matrix.shape[0]
 
-    def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.getH()
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
 
 def _as_potential(V, n):
     if V is None:

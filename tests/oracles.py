@@ -1,0 +1,112 @@
+"""Reference code that only the tests use.
+
+The complex half-flux route (the K-path) finds K-fixed representatives of a
+magnetic eigenspace; their real cover lifts are what the real half-flux
+block must reproduce.  Beside it: the zeros of a real antisymmetric
+function on the circle cover, the integer flux shift of a link field, and
+the Hermiticity defect of an assembled operator.
+"""
+
+import numpy as np
+
+import fluxlab as fl
+from fluxlab.errors import FluxlabError, LengthMismatch, NoSignChange
+from fluxlab.nodal import _sign, _zero_band
+
+KEEP_TOL = 1e-6  # shortest Gram-Schmidt candidate that adds a K-fixed direction
+
+
+class DegenerateProjection(FluxlabError):
+    """Conjugation-fixed projection of an eigenbasis collapsed."""
+
+
+def conjugation_operator(grid, field) -> fl.ConjugationOperator:
+    return fl.ConjugationOperator(fl.build_cover(fl.as_edge_graph(grid, field)))
+
+
+def real_representatives(vectors, kop: fl.ConjugationOperator) -> np.ndarray:
+    """Orthonormal K-fixed basis of the span of the given eigenvectors.
+
+    For each input column v both v + Kv and i(v - Kv) are K-fixed; a real
+    Gram-Schmidt over those candidates recovers one fixed vector per complex
+    dimension.  Inner products between K-fixed vectors are real, so the
+    returned columns are orthonormal in the full complex inner product too.
+    """
+    U = np.asarray(vectors, dtype=complex)
+    if U.ndim == 1:
+        U = U[:, None]
+    m = U.shape[1]
+    basis = []
+    for j in range(m):
+        v = U[:, j]
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            continue
+        v = v / nv
+        kv = kop.apply(v)
+        for cand in (v + kv, 1j * (v - kv)):
+            if len(basis) == m:
+                break
+            w = cand.copy()
+            for _ in range(2):
+                for q in basis:
+                    w = w - q * np.real(np.vdot(q, w))
+            nw = np.linalg.norm(w)
+            if nw > KEEP_TOL:
+                basis.append(w / nw)
+    if len(basis) < m:
+        raise DegenerateProjection(
+            f"found {len(basis)} conjugation-fixed directions for a {m}-dimensional span"
+        )
+    return np.column_stack(basis)
+
+
+def real_representative(u, kop: fl.ConjugationOperator) -> np.ndarray:
+    """Single K-fixed representative of a one-dimensional eigenspace."""
+    return real_representatives(u, kop)[:, 0]
+
+
+def circle_zero_points(f, cover: fl.CoverGraph) -> np.ndarray:
+    """Projected zeros of a real antisymmetric function on the circle cover.
+
+    Returns sorted angles in [0, 2*pi); antipodal cover zeros project to one
+    point each.
+    """
+    f = _zero_band(np.asarray(f, dtype=float).reshape(-1))
+    h = cover.base.spacing
+    base_tail = cover.project(cover.cover_edges()[:, 0])
+    angles = []
+    for e, (x, y) in enumerate(cover.cover_edges()):
+        fa, fb = f[x], f[y]
+        if _sign(fa) == _sign(fb):
+            continue
+        t = fa / (fa - fb)
+        angles.append(((base_tail[e] + t) * h) % (2 * np.pi))
+    if not angles:
+        raise NoSignChange("no sign change on the cover circle")
+    angles = np.sort(np.array(angles))
+    keep = [angles[0]]
+    for a in angles[1:]:
+        if a - keep[-1] > 1e-9 and (2 * np.pi - (a - keep[0])) > 1e-9:
+            keep.append(a)
+    return np.array(keep)
+
+
+def integer_flux_shift(grid, field: fl.LinkField, l) -> fl.LinkField:
+    """Add the canonical potential of an integer flux vector l.
+
+    Circulations shift by l; the spectrum of the assembled operator is
+    unchanged because integer-circulation phases are a lattice gradient.
+    """
+    l = np.asarray(l, dtype=float).reshape(-1)
+    if l.size != grid.k:
+        raise LengthMismatch(f"expected {grid.k} integers, got {l.size}")
+    if np.any(np.abs(l - np.round(l)) > 1e-12):
+        raise LengthMismatch("flux shift must be an integer vector")
+    return fl.LinkField(grid=grid, theta=field.theta + fl.aharonov_bohm_potential(grid, l).theta)
+
+
+def hermiticity_defect(A) -> float:
+    """Largest entry of A - A^* for a sparse matrix A."""
+    d = A - A.getH()
+    return float(np.max(np.abs(d.data))) if d.nnz else 0.0

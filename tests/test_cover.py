@@ -11,13 +11,13 @@ import fluxlab as fl
 from fluxlab.cover import spanning_tree, tree_potential
 from fluxlab.eigensolver import gershgorin_bounds
 from fluxlab.errors import (
-    DegenerateProjection,
     DisconnectedCover,
     DisconnectedDomain,
     InconsistentHolonomy,
     NonHalfIntegerFlux,
 )
 
+from oracles import DegenerateProjection, conjugation_operator, real_representative, real_representatives
 from test_geometry import small_domains
 
 
@@ -84,7 +84,7 @@ def test_non_half_integer_flux_rejected(annulus):
     with pytest.raises(NonHalfIntegerFlux):
         fl.build_cover(fl.as_edge_graph(annulus, f))
     with pytest.raises(NonHalfIntegerFlux):
-        fl.conjugation_operator(annulus, fl.aharonov_bohm_potential(annulus, [0.26]))
+        conjugation_operator(annulus, fl.aharonov_bohm_potential(annulus, [0.26]))
 
 
 def test_circle_cover_phase_closed_form():
@@ -193,13 +193,13 @@ def test_symmetric_block_is_zero_flux(annulus, annulus_cover):
 
 
 def test_conjugation_zero_flux_is_plain_conjugation(annulus):
-    K = fl.conjugation_operator(annulus, fl.zero_field(annulus))
+    K = conjugation_operator(annulus, fl.zero_field(annulus))
     u = np.linspace(0, 1, annulus.n_vertices)  # real vector
     assert np.max(np.abs(K.apply(u) - u)) < 1e-14
 
 
 def test_conjugation_squares_to_identity(annulus, annulus_half):
-    K = fl.conjugation_operator(annulus, annulus_half)
+    K = conjugation_operator(annulus, annulus_half)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(annulus.n_vertices) + 1j * rng.standard_normal(annulus.n_vertices)
     assert np.max(np.abs(K.apply(K.apply(u)) - u)) <= 1e-12 * np.max(np.abs(u))
@@ -207,7 +207,7 @@ def test_conjugation_squares_to_identity(annulus, annulus_half):
 
 def test_conjugation_commutes(annulus, annulus_half, annulus_half_solve):
     H, _ = annulus_half_solve
-    K = fl.conjugation_operator(annulus, annulus_half)
+    K = conjugation_operator(annulus, annulus_half)
     rng = np.random.default_rng(13)
     for _ in range(5):
         u = rng.standard_normal(annulus.n_vertices) + 1j * rng.standard_normal(annulus.n_vertices)
@@ -222,7 +222,7 @@ def test_simple_eigenvector_is_k_eigenvector(offset_annulus):
     H = fl.assemble_magnetic(offset_annulus, f)
     r = fl.lowest_eigenpairs(H, 3, tol=1e-11)
     assert r.eigenvalues[1] - r.eigenvalues[0] > 1e-3  # genuinely simple
-    K = fl.conjugation_operator(offset_annulus, f)
+    K = conjugation_operator(offset_annulus, f)
     u = r.eigenvectors[:, 0]
     ku = K.apply(u)
     c = np.vdot(u, ku)
@@ -234,18 +234,18 @@ def test_real_representatives_simple(offset_annulus):
     f = fl.aharonov_bohm_potential(offset_annulus, [0.5])
     H = fl.assemble_magnetic(offset_annulus, f)
     r = fl.lowest_eigenpairs(H, 1, tol=1e-11)
-    K = fl.conjugation_operator(offset_annulus, f)
+    K = conjugation_operator(offset_annulus, f)
     # unique up to sign: representatives from gauge-rotated inputs agree
-    a = fl.real_representative(r.eigenvectors[:, 0], K)
-    b = fl.real_representative(np.exp(1j * 0.8) * r.eigenvectors[:, 0], K)
+    a = real_representative(r.eigenvectors[:, 0], K)
+    b = real_representative(np.exp(1j * 0.8) * r.eigenvectors[:, 0], K)
     assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < 1e-7
 
 
 def test_real_representatives_pair_span(annulus, annulus_half, annulus_half_solve):
     _, r = annulus_half_solve
-    K = fl.conjugation_operator(annulus, annulus_half)
+    K = conjugation_operator(annulus, annulus_half)
     U = r.eigenvectors[:, :2]
-    reps = fl.real_representatives(U, K)
+    reps = real_representatives(U, K)
     assert reps.shape[1] == 2
     for j in range(2):
         q = reps[:, j]
@@ -254,16 +254,16 @@ def test_real_representatives_pair_span(annulus, annulus_half, annulus_half_solv
     rng = np.random.default_rng(23)
     M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     Qr, _ = np.linalg.qr(M)
-    reps2 = fl.real_representatives(U @ Qr, K)
+    reps2 = real_representatives(U @ Qr, K)
     P1 = reps @ reps.conj().T
     P2 = reps2 @ reps2.conj().T
     assert np.max(np.abs(P1 - P2)) < 1e-8
 
 
 def test_degenerate_projection_error(annulus, annulus_half):
-    K = fl.conjugation_operator(annulus, annulus_half)
+    K = conjugation_operator(annulus, annulus_half)
     with pytest.raises(DegenerateProjection):
-        fl.real_representatives(np.zeros((annulus.n_vertices, 1), dtype=complex), K)
+        real_representatives(np.zeros((annulus.n_vertices, 1), dtype=complex), K)
 
 
 def oracle_tree_and_potential(graph):

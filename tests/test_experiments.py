@@ -44,6 +44,7 @@ from fluxlab.experiments import (
     run_nodal,
     run_slit_infimum,
 )
+from oracles import conjugation_operator, real_representatives
 from test_geometry import small_domains
 
 COARSE = """
@@ -836,7 +837,7 @@ def _k_path(cfg, grid):
     mult = fl.multiplicity_estimate(r.eigenvalues, s.cluster_tol)
     cov = fl.build_cover(fl.as_edge_graph(grid, field))
     theta = fl.build_theta(cov)
-    reps = fl.real_representatives(r.eigenvectors[:, :mult], fl.conjugation_operator(grid, field))
+    reps = real_representatives(r.eigenvectors[:, :mult], conjugation_operator(grid, field))
     F = np.column_stack([np.sqrt(2.0) * fl.lift_to_cover(rep, theta).real for rep in reps.T])
     return r, mult, cov, F
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fluxlab as fl
+from fluxlab.eigensolver import gershgorin_bounds
 from fluxlab.errors import LengthMismatch, MissingEdge
 from fluxlab.gauge import plaquette_sums
+from oracles import integer_flux_shift
+from test_geometry import small_domains
 
 FLUX = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
 
@@ -115,20 +118,35 @@ def test_circulation_homotopy_invariant(annulus):
 def test_integer_flux_shift(annulus):
     f = fl.aharonov_bohm_potential(annulus, [0.5])
     loop = fl.hole_loop(annulus, 1)
-    same = fl.integer_flux_shift(annulus, f, [0])
+    same = integer_flux_shift(annulus, f, [0])
     assert abs(fl.circulation(same, loop) - 0.5) < 1e-12
-    up = fl.integer_flux_shift(annulus, f, [1])
+    up = integer_flux_shift(annulus, f, [1])
     assert abs(fl.circulation(up, loop) - 1.5) < 1e-12
-    dn = fl.integer_flux_shift(annulus, f, [-1])
+    dn = integer_flux_shift(annulus, f, [-1])
     assert abs(fl.circulation(dn, loop) - (-0.5)) < 1e-12
 
 
 def test_integer_shift_keeps_spectrum(annulus):
     f = fl.aharonov_bohm_potential(annulus, [0.5])
-    dn = fl.integer_flux_shift(annulus, f, [-1])
+    dn = integer_flux_shift(annulus, f, [-1])
     lam = fl.lowest_eigenpairs(fl.assemble_magnetic(annulus, f), 2, tol=1e-11).eigenvalues
     lam2 = fl.lowest_eigenpairs(fl.assemble_magnetic(annulus, dn), 2, tol=1e-11).eigenvalues
     assert np.max(np.abs(lam - lam2) / np.abs(lam)) < 1e-10
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(small_domains(), st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=0, max_value=2**31 - 1))
+def test_spectrum_unchanged_by_gauge_and_integer_flux_shift(grid, flux, seed):
+    assume(grid.k == 1)
+    tol = 1e-10
+    field = fl.aharonov_bohm_potential(grid, [flux])
+    H = fl.assemble_magnetic(grid, field)
+    lam = fl.lowest_eigenpairs(H, 3, tol=tol).eigenvalues
+    norm = max(map(abs, gershgorin_bounds(H.matrix)))
+    chi = np.random.default_rng(seed).uniform(-10, 10, grid.n_vertices)
+    for same in (fl.gauge_transform(field, chi), integer_flux_shift(grid, field, [1]), integer_flux_shift(grid, field, [-1])):
+        other = fl.lowest_eigenpairs(fl.assemble_magnetic(grid, same), 3, tol=tol).eigenvalues
+        assert np.max(np.abs(other - lam)) <= tol * norm
 
 
 def test_length_mismatch(annulus):
@@ -136,7 +154,7 @@ def test_length_mismatch(annulus):
         fl.aharonov_bohm_potential(annulus, [0.5, 0.5])
     f = fl.aharonov_bohm_potential(annulus, [0.5])
     with pytest.raises(LengthMismatch):
-        fl.integer_flux_shift(annulus, f, [1, 1])
+        integer_flux_shift(annulus, f, [1, 1])
     with pytest.raises(LengthMismatch):
         fl.gauge_transform(f, np.zeros(3))
 

@@ -9,6 +9,8 @@ import fluxlab as fl
 from fluxlab.config import load_config
 from fluxlab.errors import BadSlit, InconsistentSizes, TooFewPoints
 from fluxlab.eigensolver import gershgorin_bounds
+from fluxlab.operators import make_slit
+from oracles import hermiticity_defect
 
 
 def test_chain_is_second_difference_matrix():
@@ -68,7 +70,7 @@ def test_hermiticity(annulus):
     f = fl.aharonov_bohm_potential(annulus, [0.27])
     H = fl.assemble_magnetic(annulus, f)
     maxentry = np.max(np.abs(H.matrix.data))
-    assert H.hermiticity_defect() <= 1e-14 * maxentry
+    assert hermiticity_defect(H.matrix) <= 1e-14 * maxentry
 
 
 def test_gauge_covariance_spectrum(annulus):
@@ -181,7 +183,7 @@ def test_bad_slit_same_component(annulus):
             break
     assert pair is not None
     with pytest.raises(BadSlit):
-        fl.make_slit(annulus, list(pair))
+        make_slit(annulus, list(pair))
 
 
 def test_bad_slit_interior_endpoint(annulus):
@@ -189,12 +191,12 @@ def test_bad_slit_interior_endpoint(annulus):
     v = int(interior[0])
     w = annulus.neighbors(v)[0]
     with pytest.raises(BadSlit):
-        fl.make_slit(annulus, [v, w])
+        make_slit(annulus, [v, w])
 
 
 def test_bad_slit_steps(annulus):
     verts = list(fl.radial_slit(annulus, 1, 0.3).vertices)
-    assert fl.make_slit(annulus, verts).vertices == tuple(verts)
+    assert make_slit(annulus, verts).vertices == tuple(verts)
     gap = verts[:2] + verts[3:]
     repeat = verts[:2] + verts[1:]
     diagonal = []
@@ -206,10 +208,10 @@ def test_bad_slit_steps(annulus):
             break
     for bad, pair in ((gap, (verts[1], verts[3])), (repeat, (verts[1], verts[1])), (diagonal, diagonal[-2:])):
         with pytest.raises(BadSlit, match=f"vertices {pair[0]} and {pair[1]} are not lattice neighbors"):
-            fl.make_slit(annulus, bad)
+            make_slit(annulus, bad)
     for bad in (verts + [annulus.n_vertices], [-1] + verts):
         with pytest.raises(BadSlit):
-            fl.make_slit(annulus, bad)
+            make_slit(annulus, bad)
 
 
 def test_shortest_slit(annulus):
