@@ -2,14 +2,12 @@
 
 At half flux the magnetic operator is the twofold cover's real
 antisymmetric block, as `fluxlab nodal` solves it.  Each real ground
-eigenvector u is conjugation-fixed, and concat(u, -u) is its antisymmetric
-eigenfunction on the cover.  The zero contour of that function, projected
-back down, is a union of boundary-to-boundary lines with connected
-complement and an odd number of endpoints on every hole.  For one hole: a
+eigenvector u is conjugation-fixed, and it lifts to the cover as u on one
+sheet and -u on the other.  The zero contour of that lift, projected back
+down, is a union of boundary-to-boundary lines with connected complement
+and an odd number of endpoints on every hole.  For one hole: a
 single line from the inner to the outer boundary.
 """
-
-import numpy as np
 
 import fluxlab as fl
 
@@ -26,7 +24,7 @@ for name, spec, fluxes in (
     print(f"== {name}: k={grid.k}, ground multiplicity {mult}")
     nodal_sets = []
     for u in r.eigenvectors[:, :mult].T:
-        nod = fl.extract_nodal_set(np.concatenate([u, -u]), cover, grid)
+        nod = fl.extract_nodal_set(u, cover, grid)
         nodal_sets.append(nod)
         print("  ", fl.topology_report(nod, grid).to_json_line())
     fl.nodal_svg(spec, nodal_sets, f"nodal_{name.replace(' ', '_')}.svg")

@@ -65,10 +65,6 @@ class NoSignChange(FluxlabError):
     """Function has no sign change on the cover; no contour exists."""
 
 
-class PreconditionViolated(FluxlabError):
-    """Input pair fails the orthogonality/multiplicity preconditions."""
-
-
 class EmptyFamily(FluxlabError):
     """Slit family is empty."""
 

@@ -1,11 +1,11 @@
 """Nodal sets of half-flux ground states and their slitting topology.
 
-The zero set of a half-flux eigenfunction is extracted from the real
-antisymmetric lift on the twofold cover, where sign information exists:
-marching squares runs on one chosen lift of every fully active lattice
-cell, and antisymmetry guarantees the projection does not depend on the
-choice.  The topology report then answers the questions that matter for
-the slitting structure: how many boundary-to-boundary lines, endpoint
+At half flux a real eigenvector u of the antisymmetric block lifts to the
+twofold cover as u on sheet 0 and -u on sheet 1, and sign information
+exists there.  Marching squares reads every fully active lattice cell on
+one lift, and antisymmetry guarantees the projection does not depend on
+the choice.  The topology report then answers the questions that matter
+for the slitting structure: how many boundary-to-boundary lines, endpoint
 parity per boundary component, connectivity of the cell complement, and
 the number of components the lifted complement has on the cover.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import CoverGraph, two_sheet_components
-from .errors import NoSignChange, PreconditionViolated
+from .errors import NoSignChange
 from .geometry import GridDomain, full_cells, label_components
 
 
@@ -79,26 +79,20 @@ class SlitReport:
         return json.dumps(d, sort_keys=True)
 
 
-# lattice values within this fraction of max|f| are zero up to round-off
+# lattice values within this fraction of max|u| are zero up to round-off
 # (a nodal line along a lattice line holds values of a few eps there)
 _ZERO_BAND = 1e3 * np.finfo(float).eps
 
 
-def _zero_band(f):
-    """f with its round-off zeros (|f| <= _ZERO_BAND * max|f|) set to 0.0.
+def _zero_band(u):
+    """u with its round-off zeros (|u| <= _ZERO_BAND * max|u|) set to +0.0.
 
-    Every zero then takes the side that `_sign` gives its sheet, whatever
-    sign bit the solver left on it, and a crossing at such a vertex sits
-    exactly on the vertex, so a round-off change moves no polyline.
+    Whatever sign bit the solver left on a zero, its lift then reads +0.0 on
+    sheet 0 and -0.0 on sheet 1, so its two lifts read opposite signs, as
+    nonzero values do; and a crossing at such a vertex sits exactly on the
+    vertex, so a round-off change moves no polyline.
     """
-    return np.where(np.abs(f) <= _ZERO_BAND * np.max(np.abs(f)), 0.0, f)
-
-
-def _sign(x, sheet=0):
-    # zeros count as positive on sheet 0 and negative on sheet 1, so the two
-    # lifts of a vertex always read opposite signs and the contour does not
-    # depend on the anchor sheet; elementwise on arrays
-    return (x > 0.0) | ((x == 0.0) & (sheet == 0))
+    return np.where(np.abs(u) <= _ZERO_BAND * np.max(np.abs(u)), 0.0, u)
 
 
 def _cut_rasters(grid: GridDomain, cover: CoverGraph):
@@ -109,81 +103,74 @@ def _cut_rasters(grid: GridDomain, cover: CoverGraph):
     return cuts[ex], cuts[ey]
 
 
-def extract_nodal_set(f, cover: CoverGraph, grid: GridDomain, anchor_sheet: int = 0) -> NodalSet:
-    """Marching-squares zero contour of a real antisymmetric cover function.
+# the edges of a cell as (axis, da, db, i, j): the edge key is (axis, a + da,
+# b + db), and it runs from corner i to corner j; south, north, west, east
+_CELL_EDGES = (("x", 0, 0, 0, 1), ("x", 0, 1, 2, 3), ("y", 0, 0, 0, 2), ("y", 1, 0, 1, 3))
 
-    f must be real, antisymmetric under the deck map within 1e-8 (relative),
-    and an actual function on the cover of this grid.  Contour chains ending
-    near the staircase boundary are snapped to the nearest labeled boundary
-    vertex, and the cells along the snap are added to the crossed-cell mask.
-    Values that are zero up to round-off count as zero (`_zero_band`).
+
+def extract_nodal_set(u, cover: CoverGraph, grid: GridDomain) -> NodalSet:
+    """Marching-squares zero contour of a half-flux real eigenvector.
+
+    u holds the n real base values of an eigenvector of the antisymmetric
+    block: its lift to the cover is u on sheet 0 and -u on sheet 1.  Each
+    cell is read on the lift that puts its (a, b) corner on sheet 0.  Contour
+    chains ending near the staircase boundary are snapped to the nearest
+    labeled boundary vertex, and the cells along the snap are added to the
+    crossed-cell mask.  Values that are zero up to round-off count as zero
+    (`_zero_band`).
     """
-    f = np.asarray(f, dtype=float).reshape(-1)
+    u = np.asarray(u, dtype=float).reshape(-1)
     n = grid.n_vertices
-    if f.size != 2 * n:
-        raise ValueError(f"expected {2 * n} cover values, got {f.size}")
-    scale = float(np.max(np.abs(f)))
-    if scale == 0.0:
+    if u.size != n:
+        raise ValueError(f"expected {n} base values, got {u.size}")
+    if not np.any(u):
         raise NoSignChange("function vanishes identically")
-    asym = np.max(np.abs(f + f[cover.deck(np.arange(2 * n))]))
-    if asym > 1e-8 * scale:
-        raise PreconditionViolated(f"function is not antisymmetric (defect {asym:.2e})")
-    f = _zero_band(f)
+    u = _zero_band(u)
 
     i0, j0, ni, nj = grid._window
     vid = grid._vid
     h = grid.spacing
     cx, cy = _cut_rasters(grid, cover)
-    cells = full_cells(grid._active)
 
-    # only cells whose anchored-lift corners differ in sign hold a crossing
-    s10 = anchor_sheet ^ cx[:-1, :-1]
-    s01 = anchor_sheet ^ cy[:-1, :-1]
-    s11 = s10 ^ cy[1:, :-1]
-    signs = np.stack([
-        _sign(f[vid[:-1, :-1] + n * anchor_sheet], anchor_sheet),
-        _sign(f[vid[1:, :-1] + n * s10], s10),
-        _sign(f[vid[:-1, 1:] + n * s01], s01),
-        _sign(f[vid[1:, 1:] + n * s11], s11),
-    ])
-    mixed = cells & signs.any(axis=0) & ~signs.all(axis=0)
+    # the corners (a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1) of every
+    # cell, the sheet of each on the lift from (a, b) on sheet 0 (a step
+    # across a cut edge changes sheet), their lifted ids and values
+    base = np.stack([vid[:-1, :-1], vid[1:, :-1], vid[:-1, 1:], vid[1:, 1:]])
+    s10, s01 = cx[:-1, :-1], cy[:-1, :-1]
+    sheet = np.stack([np.zeros_like(s10), s10, s01, s10 ^ cy[1:, :-1]])
+    lifted = base + n * sheet
+    value = np.where(sheet, -u[base], u[base])
+    positive = ~np.signbit(value)
+    # only cells whose corners differ in sign hold a crossing
+    mixed = full_cells(grid._active) & positive.any(axis=0) & ~positive.all(axis=0)
 
     nodes = {}     # edge key -> crossing point
     crossings = []  # (tail, head, t) per node
     segments = []  # (key1, key2, (a, b))
 
-    def crossing(key, va, vb, sa, sb):
-        fa, fb = f[va + n * sa], f[vb + n * sb]
-        if _sign(fa, sa) == _sign(fb, sb):
-            return None
-        if key not in nodes:
-            t = fa / (fa - fb)
-            pa = grid.xy[va]
-            pb = grid.xy[vb]
-            nodes[key] = pa + t * (pb - pa)
-            crossings.append((va + n * sa, vb + n * sb, t))
-        return key
-
     for a, b in np.argwhere(mixed):
-        v00, v10 = int(vid[a, b]), int(vid[a + 1, b])
-        v01, v11 = int(vid[a, b + 1]), int(vid[a + 1, b + 1])
-        s00 = anchor_sheet
-        s10 = s00 ^ cx[a, b]
-        s01 = s00 ^ cy[a, b]
-        s11 = s10 ^ cy[a + 1, b]
-        south = crossing(("x", a, b), v00, v10, s00, s10)
-        north = crossing(("x", a, b + 1), v01, v11, s01, s11)
-        west = crossing(("y", a, b), v00, v01, s00, s01)
-        east = crossing(("y", a + 1, b), v10, v11, s10, s11)
+        ids, x, pos = lifted[:, a, b], value[:, a, b], positive[:, a, b]
+        hits = []
+        for axis, da, db, i, j in _CELL_EDGES:
+            if pos[i] == pos[j]:
+                hits.append(None)
+                continue
+            key = (axis, a + da, b + db)
+            if key not in nodes:
+                t = x[i] / (x[i] - x[j])
+                pa, pb = grid.xy[base[i, a, b]], grid.xy[base[j, a, b]]
+                nodes[key] = pa + t * (pb - pa)
+                crossings.append((ids[i], ids[j], t))
+            hits.append(key)
+        south, north, west, east = hits
         hits = [kk for kk in (south, east, north, west) if kk is not None]
-        if not hits:
-            continue
         cell = (int(a), int(b))
         if len(hits) == 2:
             segments.append((hits[0], hits[1], cell))
         elif len(hits) == 4:
-            center_pos = _sign(f[v00 + n * s00] + f[v10 + n * s10] + f[v01 + n * s01] + f[v11 + n * s11], s00)
-            if center_pos == _sign(f[v00 + n * s00], s00):
+            # a saddle: cut off the two corners whose sign the cell centre
+            # (the sum of the four) does not take
+            if np.signbit(x[0] + x[1] + x[2] + x[3]) == np.signbit(x[0]):
                 segments.append((south, east, cell))
                 segments.append((north, west, cell))
             else:
@@ -286,11 +273,18 @@ def values_at_crossings(g, nodal: NodalSet) -> np.ndarray:
     """g interpolated at each crossing that marching squares found, along the
     lifted edge it read there.
 
-    g is a real cover function; for an antisymmetric g, a crossing read on
-    a sheet-1 lift gives minus the value of the sheet-0 lift at that point.
+    g holds n real base values, lifted as g on sheet 0 and -g on sheet 1, as
+    `extract_nodal_set` lifts u.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
-    return np.array([g[a] + t * (g[b] - g[a]) for a, b, t in nodal.crossings])
+    n = nodal.cover.n_base
+    if g.size != n:
+        raise ValueError(f"expected {n} base values, got {g.size}")
+
+    def lifted(v):
+        return g[v] if v < n else -g[v - n]
+
+    return np.array([lifted(a) + t * (lifted(b) - lifted(a)) for a, b, t in nodal.crossings])
 
 
 def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:

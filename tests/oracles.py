@@ -11,7 +11,7 @@ import numpy as np
 
 import fluxlab as fl
 from fluxlab.errors import FluxlabError, LengthMismatch, NoSignChange
-from fluxlab.nodal import _sign, _zero_band
+from fluxlab.nodal import _zero_band
 
 KEEP_TOL = 1e-6  # shortest Gram-Schmidt candidate that adds a K-fixed direction
 
@@ -78,7 +78,7 @@ def circle_zero_points(f, cover: fl.CoverGraph) -> np.ndarray:
     angles = []
     for e, (x, y) in enumerate(cover.cover_edges()):
         fa, fb = f[x], f[y]
-        if _sign(fa) == _sign(fb):
+        if (fa >= 0) == (fb >= 0):
             continue
         t = fa / (fa - fb)
         angles.append(((base_tail[e] + t) * h) % (2 * np.pi))

@@ -579,6 +579,22 @@ def test_cover_equivalence(coarse_cfg, tmp_path):
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
 
 
+def test_symmetric_sector_verdict_needs_exact_equality(coarse_cfg, monkeypatch):
+    # one entry of the lifted operator off by 1e-12 relative: the spectra
+    # still agree within 1e-8, but the sector is not the zero-flux operator
+    lifted = fl.experiments.assemble_lifted
+
+    def nudged(cover, V=None):
+        Hl = lifted(cover, V=V)
+        Hl.matrix.data[0] *= 1.0 + 1e-12
+        return Hl
+
+    monkeypatch.setattr(fl.experiments, "assemble_lifted", nudged)
+    _, verdicts = run_cover_equivalence(coarse_cfg, discretize(coarse_cfg))
+    (v,) = [v for v in verdicts if v.name == "symmetric-spectrum-equality"]
+    assert not v.passed, v.detail
+
+
 def test_nodal_experiment(coarse_cfg, tmp_path):
     reports, verdicts = run_nodal(coarse_cfg, discretize(coarse_cfg), out_dir=tmp_path)
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
@@ -862,7 +878,7 @@ def test_real_half_flux_simple_ground_matches_k_path(request, fixture):
     f_old = np.sign(f @ f_old) * f_old
     assert np.max(np.abs(f - f_old)) <= 1e-12
     # a simple ground state has one nodal set, whichever route solved it
-    nod, nod_old = (fl.extract_nodal_set(g, c, grid) for g, c in ((f, cov), (f_old, cov_old)))
+    nod, nod_old = (fl.extract_nodal_set(g[: grid.n_vertices], c, grid) for g, c in ((f, cov), (f_old, cov_old)))
     assert nod.crossed_cells == nod_old.crossed_cells
     assert nod.endpoint_labels == nod_old.endpoint_labels
     assert [len(p) for p in nod.polylines] == [len(p) for p in nod_old.polylines]

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 
 import fluxlab as fl
-from fluxlab.errors import NoSignChange, PreconditionViolated
+from fluxlab.errors import NoSignChange
 from fluxlab.geometry import full_cells
-from fluxlab.nodal import NodalSet, _cover_components, _cut_rasters, _sign, _zero_band, values_at_crossings
+from fluxlab.nodal import NodalSet, _cover_components, _cut_rasters, _zero_band, values_at_crossings
 from oracles import circle_zero_points, conjugation_operator, real_representatives
 from test_geometry import small_domains
 
@@ -24,6 +24,13 @@ def ground_representatives(grid, flux_field, m=None, tol=1e-11):
     cov = fl.build_cover(fl.as_edge_graph(grid, flux_field))
     th = fl.build_theta(cov)
     return r, reps, cov, th
+
+
+def base_values(rep, th):
+    """Sheet 0 of the real lift sqrt(2) Re(L rep) of a K-fixed representative:
+    the n base values that the nodal layer reads."""
+    f = np.sqrt(2.0) * fl.lift_to_cover(rep, th).real
+    return f[: f.size // 2]
 
 
 def rasterize_polyline(grid, points):
@@ -43,8 +50,7 @@ def test_annulus_single_radial_line(annulus, annulus_half, annulus_cover):
     _, reps, cov, th = ground_representatives(annulus, annulus_half)
     assert reps.shape[1] == 2
     for j in range(2):
-        f = np.sqrt(2.0) * fl.lift_to_cover(reps[:, j], th).real
-        nod = fl.extract_nodal_set(f, cov, annulus)
+        nod = fl.extract_nodal_set(base_values(reps[:, j], th), cov, annulus)
         assert nod.n_open == 1 and nod.n_closed == 0
         assert sorted(nod.endpoint_labels[0]) == [0, 1]
         rep = fl.topology_report(nod, annulus)
@@ -61,7 +67,7 @@ def test_two_hole_slitting(two_holes):
     r, reps, cov, th = ground_representatives(two_holes, f)
     assert fl.multiplicity_estimate(r.eigenvalues, 1e-3) <= 3  # never above k+1
     for j in range(reps.shape[1]):
-        nod = fl.extract_nodal_set(np.sqrt(2.0) * fl.lift_to_cover(reps[:, j], th).real, cov, two_holes)
+        nod = fl.extract_nodal_set(base_values(reps[:, j], th), cov, two_holes)
         rep = fl.topology_report(nod, two_holes)
         assert rep.passes_slitting
         assert rep.bounds_ok  # 1 <= n <= 2
@@ -85,10 +91,10 @@ def test_round_off_zeros_do_not_move_the_nodal_set():
     assert np.count_nonzero(near) >= 10
     assert np.all(np.abs(grid.xy[near, 1] - 0.5) < 1e-12)
     alternating = np.where(np.arange(u.size) % 2 == 0, 1.0, -1.0)
-    base = fl.extract_nodal_set(np.concatenate([u, -u]), cov, grid)
+    base = fl.extract_nodal_set(u, cov, grid)
     for delta in (1e-16, -1e-16, 1e-16 * alternating):
         v = u + delta * scale * near
-        nod = fl.extract_nodal_set(np.concatenate([v, -v]), cov, grid)
+        nod = fl.extract_nodal_set(v, cov, grid)
         assert nod.crossed_cells == base.crossed_cells
         assert len(nod.polylines) == len(base.polylines)
         assert all(np.array_equal(p, q) for p, q in zip(nod.polylines, base.polylines))
@@ -97,48 +103,60 @@ def test_round_off_zeros_do_not_move_the_nodal_set():
 def test_zeros_on_a_cut_take_the_side_of_their_sheet():
     # a square with a centred hole: the simple ground state vanishes up to
     # round-off on the diagonal from the hole to a corner, and a cut crosses
-    # it, so sheet 0 reads two of those zeros on sheet 1; counting every zero
-    # as positive on both sheets gave 2 lines from sheet 0 and 3 from sheet 1
-    # where there is one
+    # it, so a cell read from sheet 0 reads two of those zeros on sheet 1;
+    # counting every zero as positive on both sheets gave 2 lines from u and
+    # 3 from -u where there is one
     spec = fl.DomainSpec(outer=fl.Rect(0.025, 0.025, 1.625, 1.625), holes=(fl.Disk(0.875, 0.875, 0.2),), spacing=0.05)
     grid = fl.build_grid(spec)
     cov = fl.build_cover(fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5])))
     u = fl.lowest_eigenpairs(fl.antisymmetric_block(cov), 1, tol=1e-10).eigenvectors[:, 0]
     assert np.count_nonzero(_zero_band(u) == 0.0) >= 10
-    f = np.concatenate([u, -u])
-    for sheet in (0, 1):
-        rep = fl.topology_report(fl.extract_nodal_set(f, cov, grid, anchor_sheet=sheet), grid)
+    for v in (u, -u):
+        rep = fl.topology_report(fl.extract_nodal_set(v, cov, grid), grid)
         assert rep.n_lines == 1 and rep.passes_slitting and rep.bounds_ok
 
 
-def test_projection_consistency(annulus, annulus_half, annulus_cover):
-    _, reps, cov, th = ground_representatives(annulus, annulus_half)
-    f = np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real
-    a = fl.extract_nodal_set(f, cov, annulus, anchor_sheet=0)
-    b = fl.extract_nodal_set(f, cov, annulus, anchor_sheet=1)
-    assert a.crossed_cells == b.crossed_cells
+def assert_sign_free(u, cov, grid):
+    """u and -u give one nodal set: the same lines with the same endpoint
+    labels, and the same report.
 
-
-def test_projection_consistency_two_holes(two_holes):
-    _, reps, cov, th = ground_representatives(two_holes, fl.aharonov_bohm_potential(two_holes, [0.5, 0.5]))
-    f = np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real
-    a = fl.extract_nodal_set(f, cov, two_holes, anchor_sheet=0)
-    b = fl.extract_nodal_set(f, cov, two_holes, anchor_sheet=1)
-    assert a.crossed_cells == b.crossed_cells
+    Neither the crossed cells nor the direction a line is traced in are
+    compared: where a line runs along round-off zeros, the cells it is
+    counted through and the edge each zero crossing is keyed on depend on
+    the side the zeros take.
+    """
+    a, b = (fl.extract_nodal_set(v, cov, grid) for v in (u, -u))
     assert len(a.polylines) == len(b.polylines) > 0
-    assert all(np.array_equal(p, q) for p, q in zip(a.polylines, b.polylines))
-    assert a.endpoint_labels == b.endpoint_labels
+    for p, q, la, lb in zip(a.polylines, b.polylines, a.endpoint_labels, b.endpoint_labels):
+        if not np.array_equal(p, q) and lb is not None:
+            q, lb = q[::-1], lb[::-1]
+        assert np.array_equal(p, q) and la == lb
+    assert fl.topology_report(a, grid).to_json_line() == fl.topology_report(b, grid).to_json_line()
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(small_domains())
-def test_report_does_not_depend_on_anchor_sheet(grid):
+def test_nodal_set_does_not_depend_on_eigenvector_sign(grid):
+    # the solver fixes u only up to sign
     assume(grid.k == 1)
     cov = fl.build_cover(fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5])))
     u = fl.lowest_eigenpairs(fl.antisymmetric_block(cov), 1, tol=1e-10).eigenvectors[:, 0]
-    f = np.concatenate([u, -u])
-    lines = [fl.topology_report(fl.extract_nodal_set(f, cov, grid, anchor_sheet=s), grid).to_json_line() for s in (0, 1)]
-    assert lines[0] == lines[1]
+    assert_sign_free(u, cov, grid)
+
+
+def test_nodal_set_does_not_depend_on_eigenvector_sign_along_zeros():
+    # two holes at spacing 0.05: the nodal line between the holes runs along
+    # the lattice row y = 0.5, through vertices in the zero band
+    spec = fl.DomainSpec(
+        outer=fl.Rect(0, 0, 3.0, 1.0),
+        holes=(fl.Disk(1.0, 0.5, 0.2), fl.Disk(2.0, 0.5, 0.2)),
+        spacing=0.05,
+    )
+    grid = fl.build_grid(spec)
+    cov = fl.build_cover(fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5, 0.5])))
+    u = fl.lowest_eigenpairs(fl.antisymmetric_block(cov), 1, tol=1e-10).eigenvectors[:, 0]
+    assert np.count_nonzero(_zero_band(u) == 0.0) >= 10
+    assert_sign_free(u, cov, grid)
 
 
 def free_cells(nodal, grid):
@@ -188,7 +206,7 @@ def test_cover_components_match_oracle(annulus, annulus_half, annulus_cover, two
     sets = []
     for grid, flux in ((annulus, annulus_half), (two_holes, fl.aharonov_bohm_potential(two_holes, [0.5, 0.5]))):
         _, reps, cov, th = ground_representatives(grid, flux)
-        sets.append((fl.extract_nodal_set(np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real, cov, grid), grid))
+        sets.append((fl.extract_nodal_set(base_values(reps[:, 0], th), cov, grid), grid))
     # hand-stripped sets that fail slitting: the two-hole line cut short, and
     # two radial annulus lines that split the complement
     line = sets[1][0].polylines[0]
@@ -242,7 +260,7 @@ def test_two_radial_lines_disconnect(annulus, annulus_cover):
 def test_removing_a_line_breaks_parity(annulus, annulus_half, two_holes):
     # one-hole case: the extracted single line removed leaves nothing
     _, reps, cov, th = ground_representatives(annulus, annulus_half)
-    nod = fl.extract_nodal_set(np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real, cov, annulus)
+    nod = fl.extract_nodal_set(base_values(reps[:, 0], th), cov, annulus)
     assert fl.topology_report(nod, annulus).passes_slitting
     stripped = NodalSet(polylines=[], endpoint_labels=[], crossed_cells=frozenset(), crossings=[], cover=cov)
     assert not fl.topology_report(stripped, annulus).passes_slitting
@@ -250,7 +268,7 @@ def test_removing_a_line_breaks_parity(annulus, annulus_half, two_holes):
     # two-hole case: drop each line of a passing set in turn
     f2 = fl.aharonov_bohm_potential(two_holes, [0.5, 0.5])
     _, reps2, cov2, th2 = ground_representatives(two_holes, f2)
-    nod2 = fl.extract_nodal_set(np.sqrt(2.0) * fl.lift_to_cover(reps2[:, 0], th2).real, cov2, two_holes)
+    nod2 = fl.extract_nodal_set(base_values(reps2[:, 0], th2), cov2, two_holes)
     assert fl.topology_report(nod2, two_holes).passes_slitting
     for drop in range(len(nod2.polylines)):
         keep = [t for t in range(len(nod2.polylines)) if t != drop]
@@ -268,13 +286,14 @@ def test_removing_a_line_breaks_parity(annulus, annulus_half, two_holes):
         assert not fl.topology_report(sub, two_holes).parity_ok
 
 
-def test_extraction_requires_antisymmetry(annulus, annulus_cover):
+def test_extraction_requires_base_values(annulus, annulus_cover):
     cov, _ = annulus_cover
-    f = np.ones(2 * annulus.n_vertices)
-    with pytest.raises(PreconditionViolated):
-        fl.extract_nodal_set(f, cov, annulus)
+    n = annulus.n_vertices
+    # a lift to the cover has 2n values
+    with pytest.raises(ValueError):
+        fl.extract_nodal_set(np.ones(2 * n), cov, annulus)
     with pytest.raises(NoSignChange):
-        fl.extract_nodal_set(np.zeros(2 * annulus.n_vertices), cov, annulus)
+        fl.extract_nodal_set(np.zeros(n), cov, annulus)
 
 
 def test_circle_single_zero_point():
@@ -300,7 +319,7 @@ def test_circle_single_zero_point():
 
 def test_polylines_text(tmp_path, annulus, annulus_half):
     _, reps, cov, th = ground_representatives(annulus, annulus_half)
-    nod = fl.extract_nodal_set(np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real, cov, annulus)
+    nod = fl.extract_nodal_set(base_values(reps[:, 0], th), cov, annulus)
     p = tmp_path / "lines.txt"
     fl.nodal.polylines_text(nod, p)
     text = p.read_text()
@@ -310,20 +329,34 @@ def test_polylines_text(tmp_path, annulus, annulus_half):
     assert np.array_equal(np.loadtxt(p, comments="#"), np.vstack(nod.polylines))
 
 
+def crossing_coordinates(nod, grid, axis):
+    """The axis coordinate of each crossing, interpolated along its base edge."""
+    x, n = grid.xy[:, axis], grid.n_vertices
+    return np.array([x[a % n] + t * (x[b % n] - x[a % n]) for a, b, t in nod.crossings])
+
+
 @pytest.mark.parametrize("fixture, flux", [("annulus", [0.5]), ("two_holes", [0.5, 0.5])])
 def test_values_at_crossings_read_the_marching_squares_nodes(request, fixture, flux):
     grid = request.getfixturevalue(fixture)
     _, reps, cov, th = ground_representatives(grid, fl.aharonov_bohm_potential(grid, flux))
-    f = np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real
-    nod = fl.extract_nodal_set(f, cov, grid)
+    u = base_values(reps[:, 0], th)
+    nod = fl.extract_nodal_set(u, cov, grid)
     nodes = np.unique(np.vstack(nod.polylines), axis=0)
-    # a symmetric g = the x (then y) coordinate interpolates to the crossing points
+    # one crossing per polyline node, at the fraction t of its edge
     for axis in range(2):
-        got = np.sort(values_at_crossings(np.tile(grid.xy[:, axis], 2), nod))
+        got = np.sort(crossing_coordinates(nod, grid, axis))
         assert got.shape == (nodes.shape[0],)
         assert np.max(np.abs(got - np.sort(nodes[:, axis]))) <= 1e-12
-    # f itself vanishes at its crossings
-    assert np.max(np.abs(values_at_crossings(f, nod))) <= 1e-12 * np.max(np.abs(f))
+    # g is read on its lift, g on sheet 0 and -g on sheet 1, along the
+    # lifted edge of each crossing
+    g = np.random.default_rng(3).standard_normal(grid.n_vertices)
+    lift = np.concatenate([g, -g])
+    want = [lift[a] + t * (lift[b] - lift[a]) for a, b, t in nod.crossings]
+    assert np.array_equal(values_at_crossings(g, nod), want)
+    with pytest.raises(ValueError):
+        values_at_crossings(lift, nod)
+    # u itself vanishes at its crossings
+    assert np.max(np.abs(values_at_crossings(u, nod))) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_crossings_are_the_lifted_edges_marching_squares_read():
@@ -337,21 +370,22 @@ def test_crossings_are_the_lifted_edges_marching_squares_read():
     grid = fl.build_grid(spec)
     cov = fl.build_cover(fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5, 0.5])))
     u = fl.lowest_eigenpairs(fl.antisymmetric_block(cov), 1, tol=1e-10).eigenvectors[:, 0]
-    f = np.concatenate([u, -u])
-    nod = fl.extract_nodal_set(f, cov, grid)
+    nod = fl.extract_nodal_set(u, cov, grid)
     on_row = np.abs(np.vstack(nod.polylines)[:, 1] - 0.5) < 1e-12
     assert np.count_nonzero(on_row) >= 10
     # one crossing per distinct polyline node, each on a lifted edge whose
-    # ends f puts on opposite sides of zero (zeros take the side of their sheet)
+    # ends the lift puts on opposite sides of zero (a zero is +0.0 on sheet 0
+    # and -0.0 on sheet 1)
     nodes = np.unique(np.vstack(nod.polylines), axis=0)
     assert len(nod.crossings) == nodes.shape[0]
     lifted = set(map(tuple, cov.cover_edges().tolist()))
-    g = _zero_band(f)
+    g = _zero_band(u)
+    lift = np.concatenate([g, -g])
     for a, b, t in nod.crossings:
         assert (a, b) in lifted
-        assert _sign(g[a], a // grid.n_vertices) != _sign(g[b], b // grid.n_vertices) and 0.0 <= t <= 1.0
+        assert np.signbit(lift[a]) != np.signbit(lift[b]) and 0.0 <= t <= 1.0
     for axis in range(2):
-        got = np.sort(values_at_crossings(np.tile(grid.xy[:, axis], 2), nod))
+        got = np.sort(crossing_coordinates(nod, grid, axis))
         assert np.max(np.abs(got - np.sort(nodes[:, axis]))) <= 1e-12
 
 
@@ -359,7 +393,7 @@ def test_report_json_line(annulus, annulus_half):
     import json
 
     _, reps, cov, th = ground_representatives(annulus, annulus_half)
-    nod = fl.extract_nodal_set(np.sqrt(2.0) * fl.lift_to_cover(reps[:, 0], th).real, cov, annulus)
+    nod = fl.extract_nodal_set(base_values(reps[:, 0], th), cov, annulus)
     rep = fl.topology_report(nod, annulus)
     d = json.loads(rep.to_json_line())
     assert d["n_lines"] == 1 and d["passes_slitting"] is True
