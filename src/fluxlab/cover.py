@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DisconnectedCover,
@@ -125,21 +124,6 @@ class CoverGraph:
     def as_edge_graph(self, zero_phase=False) -> EdgeGraph:
         theta = np.zeros(2 * self.base.theta.size) if zero_phase else np.tile(self.base.theta, 2)
         return EdgeGraph(n=self.n, edges=self.cover_edges(), theta=theta, spacing=self.base.spacing)
-
-
-def two_sheet_components(t0, t1, flip, n):
-    """(count, labels) of the connected components of a two-sheet graph.
-
-    Node t + n * s is base node t on sheet s; each base link t0 -- t1 joins
-    equal sheets where flip is 0 and changes sheet where it is 1, as a cut
-    edge does on the cover.
-    """
-    from scipy.sparse.csgraph import connected_components  # see spanning_tree
-
-    rows = np.concatenate([t0, t0 + n])
-    cols = np.concatenate([t1 + n * flip, t1 + n * (1 - flip)])
-    g = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
-    return connected_components(g, directed=False)
 
 
 def _half_integer_circulations(graph: EdgeGraph):

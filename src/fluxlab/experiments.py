@@ -31,7 +31,7 @@ from .cover import (
     build_cover,
     build_theta,
     lift_to_cover,
-    two_sheet_components,
+    tree_potential,
 )
 from .eigensolver import EigenResult, gershgorin_bounds, lowest_eigenpairs, multiplicity_estimate
 from .errors import ConfigError, DisconnectedDomain, EmptyFamily, NoConvergence, SpecTooCoarse, SpecTooFine
@@ -39,6 +39,7 @@ from .gauge import aharonov_bohm_potential, zero_field
 from .geometry import DomainSpec, GridDomain, build_grid, lattice_symmetries
 from .nodal import extract_nodal_set, polylines_text, topology_report, values_at_crossings
 from .operators import (
+    EdgeGraph,
     as_edge_graph,
     assemble,
     assemble_circle,
@@ -560,22 +561,35 @@ def _reflection(B, lattice: Lattice):
     d_v u_p(v), with S B S^T = B bit for bit and S^2 = I; None if none does.
 
     B[p][:, p] has B's entries up to the signs that the cut edges put on
-    its hops, and d two-colours those sign flips: in the two-sheet graph
-    of B, where a flipped entry changes sheet, d_v says whether (v, 0)
-    lies in the component of (0, 0).
+    its hops, and d_v is the parity of those sign flips along the path
+    from 0 to v in a BFS spanning tree of B's pattern: tree_potential sums
+    them as 0/1 phases.  A lift, where one exists, is that d, so the bit
+    for bit check decides.
     """
+    from scipy.sparse.csgraph import breadth_first_order  # see cover.spanning_tree
+
     n = B.shape[0]
     ident = np.arange(n)
+    order, parent = breadth_first_order(B, 0, return_predecessors=True)
+    child = order[1:]
+    up = parent[child]
+    # the tree as a phased graph: edge j joins child[j] to its parent
+    tree_edge = np.empty(n, dtype=np.int64)
+    tree_edge[child] = np.arange(n - 1)
+    tree = (order, parent, tree_edge, np.ones(n, dtype=np.int8), None)
+    edges = np.column_stack([up, child])
+    signs = np.signbit(np.asarray(B[up, child]).ravel())
     coo = B.tocoo()
     r, c = coo.row, coo.col
     for p in _symmetries(lattice):
         if np.array_equal(p, ident) or not np.array_equal(p[p], ident):
             continue
-        image = np.asarray(B[p[r], p[c]]).ravel()
-        flip = (np.signbit(image) != np.signbit(coo.data)).astype(np.int64)
-        labels = two_sheet_components(r, c, flip, n)[1]
-        d = np.where(labels[:n] == labels[0], 1.0, -1.0)
-        if np.all(d * d[p] == 1.0) and np.array_equal(d[r] * d[c] * image, coo.data):
+        # in B's index type, so the lookups convert no index copies
+        q = p.astype(B.indices.dtype)
+        flip = np.signbit(np.asarray(B[q[up], q[child]]).ravel()) != signs
+        parity = tree_potential(EdgeGraph(n, edges, flip.astype(float), lattice.grid.spacing), tree) % 2
+        d = 1.0 - 2.0 * parity
+        if np.all(d * d[p] == 1.0) and np.array_equal(d[r] * d[c] * np.asarray(B[q[r], q[c]]).ravel(), coo.data):
             return p, d
     return None
 
@@ -615,7 +629,8 @@ def _half_flux_ground(cfg: ExperimentConfig, lattice: Lattice, cover):
     _fan_out batch; else the one sector is B.  Each sector shifts from B's
     Gershgorin bounds: they enclose its spectrum, where its own lower bound
     sinks far lower at the couplings of the mirror.  The lowest m of the
-    union, embedded, are checked against B itself.
+    union, embedded, are checked against B itself.  Each eigenvector
+    comes with its largest |u| entry positive.
     """
     s = cfg.solver
     m = max(s.count, 4, lattice.grid.k + 2)
@@ -640,6 +655,9 @@ def _half_flux_ground(cfg: ExperimentConfig, lattice: Lattice, cover):
     lam = np.concatenate([r.eigenvalues for r in sectors])
     keep = np.argsort(lam, kind="stable")[:m]
     U = np.hstack([r.eigenvectors for r in sectors])[:, keep]
+    # the solver fixes each vector only up to sign: make its largest |u|
+    # entry (the first of equal ones) positive, so no output depends on it
+    U *= np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
     lam = lam[keep]
     r = EigenResult(lam, U, np.linalg.norm(B @ U - U * lam, axis=0))
     norm = max(abs(bounds[0]), abs(bounds[1]))

@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .cover import CoverGraph, two_sheet_components
+from .cover import CoverGraph
 from .errors import NoSignChange
 from .geometry import GridDomain, full_cells, label_components
 
@@ -325,6 +326,21 @@ def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:
     )
 
 
+def _two_sheet_components(t0, t1, flip, n):
+    """(count, labels) of the connected components of a two-sheet graph.
+
+    Node t + n * s is base node t on sheet s; each base link t0 -- t1 joins
+    equal sheets where flip is 0 and changes sheet where it is 1, as a cut
+    edge does on the cover.
+    """
+    from scipy.sparse.csgraph import connected_components  # see cover.spanning_tree
+
+    rows = np.concatenate([t0, t0 + n])
+    cols = np.concatenate([t1 + n * flip, t1 + n * (1 - flip)])
+    g = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
+    return connected_components(g, directed=False)
+
+
 def _cover_components(nodal: NodalSet, grid: GridDomain, free) -> int:
     """Components of the lifted free cells; sheets propagate through cut bits."""
     n_free = int(np.count_nonzero(free))
@@ -341,7 +357,7 @@ def _cover_components(nodal: NodalSet, grid: GridDomain, free) -> int:
     t0 = np.concatenate([index[:-1, :][x_link], index[:, :-1][y_link]])
     t1 = np.concatenate([index[1:, :][x_link], index[:, 1:][y_link]])
     cut = np.concatenate([cx[: na - 1, :nb][x_link], cy[:na, : nb - 1][y_link]]).astype(np.int64)
-    return int(two_sheet_components(t0, t1, cut, n_free)[0])
+    return int(_two_sheet_components(t0, t1, cut, n_free)[0])
 
 
 def polylines_text(nodal: NodalSet, path):

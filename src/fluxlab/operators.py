@@ -113,7 +113,8 @@ def assemble(graph: EdgeGraph, V=None, keep=None) -> HamiltonianMatrix:
     np.add.at(deg, graph.edges[:, 0], 1.0)
     np.add.at(deg, graph.edges[:, 1], 1.0)
 
-    unk = np.full(n, -1, dtype=np.int64)
+    # int32, the CSR index type, so the COO input needs no converted copy
+    unk = np.full(n, -1, dtype=np.int32)
     vtx = np.nonzero(keep)[0]
     unk[vtx] = np.arange(vtx.size)
 

@@ -2,7 +2,8 @@
 
 The complex half-flux route (the K-path) finds K-fixed representatives of a
 magnetic eigenspace; their real cover lifts are what the real half-flux
-block must reproduce.  Beside it: the zeros of a real antisymmetric
+block must reproduce.  Beside it: the reflection lift of the half-flux
+block read off a two-sheet graph, the zeros of a real antisymmetric
 function on the circle cover, the integer flux shift of a link field, and
 the Hermiticity defect of an assembled operator.
 """
@@ -11,7 +12,8 @@ import numpy as np
 
 import fluxlab as fl
 from fluxlab.errors import FluxlabError, LengthMismatch, NoSignChange
-from fluxlab.nodal import _zero_band
+from fluxlab.experiments import _symmetries
+from fluxlab.nodal import _two_sheet_components, _zero_band
 
 KEEP_TOL = 1e-6  # shortest Gram-Schmidt candidate that adds a K-fixed direction
 
@@ -64,6 +66,31 @@ def real_representatives(vectors, kop: fl.ConjugationOperator) -> np.ndarray:
 def real_representative(u, kop: fl.ConjugationOperator) -> np.ndarray:
     """Single K-fixed representative of a one-dimensional eigenspace."""
     return real_representatives(u, kop)[:, 0]
+
+
+def two_sheet_lift(B, lattice):
+    """(p, d) for the first lattice involution p that keeps V for which
+    S = D P, (S u)_v = d_v u_p(v), satisfies S B S^T = B bit for bit and
+    S^2 = I; None if none does.
+
+    d two-colours the hop signs that the cut edges flip between B and
+    B[p][:, p]: in the two-sheet graph of B, where a flipped entry changes
+    sheet, d_v says whether (v, 0) lies in the component of (0, 0).
+    """
+    n = B.shape[0]
+    ident = np.arange(n)
+    coo = B.tocoo()
+    r, c = coo.row, coo.col
+    for p in _symmetries(lattice):
+        if np.array_equal(p, ident) or not np.array_equal(p[p], ident):
+            continue
+        image = np.asarray(B[p[r], p[c]]).ravel()
+        flip = (np.signbit(image) != np.signbit(coo.data)).astype(np.int64)
+        labels = _two_sheet_components(r, c, flip, n)[1]
+        d = np.where(labels[:n] == labels[0], 1.0, -1.0)
+        if np.all(d * d[p] == 1.0) and np.array_equal(d[r] * d[c] * image, coo.data):
+            return p, d
+    return None
 
 
 def circle_zero_points(f, cover: fl.CoverGraph) -> np.ndarray:

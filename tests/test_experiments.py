@@ -44,7 +44,7 @@ from fluxlab.experiments import (
     run_nodal,
     run_slit_infimum,
 )
-from oracles import conjugation_operator, real_representatives
+from oracles import conjugation_operator, real_representatives, two_sheet_lift
 from test_geometry import small_domains
 
 COARSE = """
@@ -603,6 +603,32 @@ def test_nodal_experiment(coarse_cfg, tmp_path):
     assert (tmp_path / "nodal_reports.jsonl").read_text().count("\n") == len(reports)
 
 
+def test_nodal_files_do_not_depend_on_the_solvers_sign(tmp_path, monkeypatch):
+    # the nodal line of this domain runs along round-off zeros, where u and
+    # -u cross different cells and trace the line in opposite directions;
+    # the solver returns u only up to sign, and _half_flux_ground picks one
+    spec = fl.DomainSpec(outer=fl.Rect(0.1, -0.1, 1.7, 1.5), holes=(fl.Disk(0.75, 0.85, 0.2),), spacing=0.1)
+    grid = fl.build_grid(spec)
+    cov = _half_flux_cover(grid)
+    u = fl.lowest_eigenpairs(fl.antisymmetric_block(cov), 1, tol=1e-10).eigenvectors[:, 0]
+    assert fl.extract_nodal_set(u, cov, grid).crossed_cells != fl.extract_nodal_set(-u, cov, grid).crossed_cells
+    solve = fl.experiments.lowest_eigenpairs
+
+    def negated(*args, **kwargs):
+        r = solve(*args, **kwargs)
+        return dataclasses.replace(r, eigenvectors=-r.eigenvectors)
+
+    files = []
+    for job in (solve, negated):
+        monkeypatch.setattr(fl.experiments, "lowest_eigenpairs", job)
+        out = tmp_path / job.__name__
+        out.mkdir()
+        run_nodal(ExperimentConfig(domain=spec), Lattice(grid, None), out_dir=out)
+        files.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(files[0]) == ["nodal.svg", "nodal_0.txt", "nodal_reports.jsonl"]
+    assert files[0] == files[1]
+
+
 def test_collinear_pair_fails_both_halves_of_disjointness(coarse_cfg, monkeypatch):
     # u2 := u1: the pair shares every crossed cell, and u2 vanishes on u1's crossings
     ground = fl.experiments._half_flux_ground
@@ -948,9 +974,52 @@ def check_half_flux_split(grid, V=None):
     return len(bounds)
 
 
-@pytest.mark.parametrize("fixture, sectors", [("annulus", 2), ("two_holes", 2), ("offset_annulus", 1)])
+# domains whose half-flux block splits, though a sign read off the cover's
+# tree potential, exp(i (eta + eta o p)), finds no lift on either: the AB
+# reference point lies on no mirror of a symmetric footprint, and a lattice
+# that only the point reflection, a rotation, keeps
+LIFTED_DOMAINS = {
+    "disk-hole-off-mirror": fl.DomainSpec(outer=fl.Disk(0, 0, 1.0), holes=(fl.Disk(0.01, 0.02, 0.25),), spacing=0.1),
+    "rect-point-reflection-only": fl.DomainSpec(
+        outer=fl.Rect(0, 0, 3.0, 1.0), holes=(fl.Disk(1.0, 0.4, 0.2), fl.Disk(2.0, 0.6, 0.2)), spacing=0.05
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fixture, sectors", [("annulus", 2), ("two_holes", 2), ("offset_annulus", 1), *((name, 2) for name in LIFTED_DOMAINS)]
+)
 def test_half_flux_sectors_match_one_block(request, fixture, sectors):
-    assert check_half_flux_split(request.getfixturevalue(fixture)) == sectors
+    grid = fl.build_grid(LIFTED_DOMAINS[fixture]) if fixture in LIFTED_DOMAINS else request.getfixturevalue(fixture)
+    assert check_half_flux_split(grid) == sectors
+
+
+def check_first_lift(grid, V=None):
+    """_reflection returns the two-sheet oracle's first lift, with d_0 = +1;
+    returns whether there is one."""
+    lattice = Lattice(grid, V)
+    B = fl.antisymmetric_block(_half_flux_cover(grid), V=V).matrix
+    got, want = _reflection(B, lattice), two_sheet_lift(B, lattice)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got[0], want[0])
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        assert got[1][0] == 1.0
+    return got is not None
+
+
+def test_reflection_is_the_two_sheet_oracles_first_lift(annulus, offset_annulus, two_holes):
+    assert [check_first_lift(g) for g in (annulus, offset_annulus, two_holes)] == [True, False, True]
+    assert all(check_first_lift(fl.build_grid(spec)) for spec in LIFTED_DOMAINS.values())
+    found = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_domains())
+    def check(grid):
+        found.append(check_first_lift(grid))
+
+    check()
+    assert set(found) == {True, False}
 
 
 def test_point_reflection_lift_squares_to_minus_one(annulus):
@@ -958,7 +1027,7 @@ def test_point_reflection_lift_squares_to_minus_one(annulus):
     # half flux squares to -I: no sectors, and the pair stays degenerate
     V = sum(gaussian_bump(annulus.xy, c, 0.2, 40.0) for c in ((0.5, 0.3), (-0.5, -0.3)))
     assert len(fl.experiments._symmetries(Lattice(annulus, V))) == 2
-    assert _reflection(fl.antisymmetric_block(_half_flux_cover(annulus), V=V).matrix, Lattice(annulus, V)) is None
+    assert not check_first_lift(annulus, V)
     assert check_half_flux_split(annulus, V) == 1
 
 
