@@ -2,7 +2,9 @@
 
 Exit codes: 0 all verdicts pass; 1 some verdict failed, or the run stopped
 on a FluxlabError, which prints `error:` and writes no verdicts.txt;
-2 config/IO error.
+2 config/IO error, or a config whose domain or sweep cannot decide a claim
+of the experiments asked for (a one-hole experiment on k != 1 holes, a
+sweep with no flux off the integers, a one-hole sweep without flux 1/2).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .errors import ConfigError, FluxlabError
 from .experiments import (
     discretize,
     require_one_hole,
+    require_sweep_claims,
     run_circle_check,
     run_cover_equivalence,
     run_flux_sweep,
@@ -75,8 +78,11 @@ def cli_main(argv=None) -> int:
         names = tuple(n for n in names if n not in _ONE_HOLE)
     verdicts = []
     try:
+        # preconditions come before a grid that may not build
         for name in set(names) & set(_ONE_HOLE):
-            require_one_hole(cfg, name)  # before a grid that may not build
+            require_one_hole(cfg, name)
+        if "sweep" in names:
+            require_sweep_claims(cfg)
         # one grid and potential for every experiment but the circle's
         lattice = discretize(cfg) if set(names) - {"circle"} else None
         for name in names:

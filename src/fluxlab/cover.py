@@ -35,9 +35,7 @@ def spanning_tree(graph: EdgeGraph):
     Returns (order, parent_vertex, parent_edge, parent_sign, is_tree_edge).
     Deterministic; raises DisconnectedDomain if the graph is disconnected.
     """
-    # imported here: csgraph's extension modules add about 1 MB of peak RSS
-    # to runs that never build a tree
-    from scipy.sparse.csgraph import breadth_first_order
+    from scipy.sparse.csgraph import breadth_first_order  # see geometry.link_components
 
     adj = graph.adjacency()
     # on sorted CSR rows the traversal visits neighbors in ascending order
@@ -50,10 +48,8 @@ def spanning_tree(graph: EdgeGraph):
     parent_edge = np.full(graph.n, -1, dtype=np.int64)
     parent_sign = np.zeros(graph.n, dtype=np.int8)
     child = order[1:]
-    # CSR entries sorted by (row, column) give one flat key per edge direction
-    rows = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(adj.indptr))
-    keys = rows * graph.n + adj.indices
-    signed = adj.data[np.searchsorted(keys, parent[child] * graph.n + child)]
+    # the signed id of each tree edge, looked up in place in the CSR rows
+    signed = np.asarray(adj[parent[child], child]).ravel()
     parent_edge[child] = np.abs(signed) - 1
     parent_sign[child] = np.sign(signed)
     is_tree = np.zeros(graph.edges.shape[0], dtype=bool)

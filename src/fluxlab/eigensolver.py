@@ -100,10 +100,19 @@ def _as_matrix(H):
 
 
 def gershgorin_bounds(A):
-    """(lower, upper) bounds on the spectrum from Gershgorin disks."""
-    diag = A.diagonal().real
-    off = np.asarray(np.abs(A).sum(axis=1)).ravel() - np.abs(A.diagonal())
-    return float((diag - off).min()), float((diag + off).max())
+    """(lower, upper) bounds on the spectrum from Gershgorin disks.
+
+    The absolute row sums are read off A's CSR arrays, summed as
+    abs(A).sum(axis=1) sums them, with no copy of A's indices.
+    """
+    A = A.tocsr()
+    A.sum_duplicates()
+    diag = A.diagonal()
+    rows = np.flatnonzero(np.diff(A.indptr))
+    off = np.zeros(A.shape[0])
+    off[rows] = np.add.reduceat(np.abs(A.data), A.indptr[rows])
+    off -= np.abs(diag)
+    return float((diag.real - off).min()), float((diag.real + off).max())
 
 
 def _rayleigh_ritz(A, V, m) -> EigenResult:

@@ -125,7 +125,8 @@ def _fan_out(job, items):
         feed.close()
         for pipe in pipes:
             try:
-                outcomes.update(pickle.loads(pipe.read()))
+                # straight off the pipe: no bytes copy of the results beside them
+                outcomes.update(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError) as exc:
                 # imported here: only a dead worker needs the executor module
                 from concurrent.futures.process import BrokenProcessPool
@@ -251,14 +252,34 @@ def _sweep_fluxes(ts, k):
     return rows + [t for pair in pairs for t in pair] + [0.0] + (list(_PEAK) if k == 1 else [])
 
 
+def _off_integers(ts):
+    """The fluxes of ts that are not integers."""
+    return [t for t in ts if min(abs(t - round(t)), 1.0) > 1e-9]
+
+
+def require_sweep_claims(cfg: ExperimentConfig):
+    """Raise ConfigError unless cfg's sweep can decide the sweep's claims:
+    it holds a flux off the integers, which the strict minimum at zero flux
+    compares with flux 0, and on a one-hole domain it holds flux 1/2, where
+    maximality wants the argmax."""
+    ts = cfg.sweep_values()
+    start, stop, step = cfg.sweep
+    if not _off_integers(ts):
+        raise ConfigError(f"[sweep] {start} to {stop} by {step} holds no flux off the integers")
+    if cfg.domain.k == 1 and not any(abs(t - _PEAK[0]) < 1e-12 for t in ts):
+        raise ConfigError(f"[sweep] {start} to {stop} by {step} misses flux 1/2, which a one-hole domain needs")
+
+
 def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     """Sweep the flux and check periodicity, flip symmetry, the strict
     zero-flux minimum and (one hole) maximality at half flux.
 
     The rows, the margins and the argmax read each flux's class; the
     periodicity and half-flux-symmetry verdicts, the claims that make the
-    classes hold, compare two solves of their own.
+    classes hold, compare two solves of their own.  A sweep that cannot
+    decide them raises ConfigError (require_sweep_claims).
     """
+    require_sweep_claims(cfg)
     grid = lattice.grid
     s = cfg.solver
     ts = cfg.sweep_values()
@@ -303,9 +324,8 @@ def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
         )
     )
     lam0 = lam1(0.0)
-    noninteger = [t for t in ts if min(abs(t - round(t)), 1.0) > 1e-9]
-    margins = {t: lam1(_flux_class(t)) - lam0 for t in noninteger}
-    min_margin = min(margins.values()) if margins else np.inf
+    margins = {t: lam1(_flux_class(t)) - lam0 for t in _off_integers(ts)}
+    min_margin = min(margins.values())
     margin_quarter = margins.get(0.25, np.nan)
     verdicts.append(
         Verdict(
@@ -564,9 +584,9 @@ def _reflection(B, lattice: Lattice):
     its hops, and d_v is the parity of those sign flips along the path
     from 0 to v in a BFS spanning tree of B's pattern: tree_potential sums
     them as 0/1 phases.  A lift, where one exists, is that d, so the bit
-    for bit check decides.
+    for bit check decides.  p is a copy, not a row of the symmetry group.
     """
-    from scipy.sparse.csgraph import breadth_first_order  # see cover.spanning_tree
+    from scipy.sparse.csgraph import breadth_first_order  # see geometry.link_components
 
     n = B.shape[0]
     ident = np.arange(n)
@@ -579,19 +599,36 @@ def _reflection(B, lattice: Lattice):
     tree = (order, parent, tree_edge, np.ones(n, dtype=np.int8), None)
     edges = np.column_stack([up, child])
     signs = np.signbit(np.asarray(B[up, child]).ravel())
-    coo = B.tocoo()
-    r, c = coo.row, coo.col
     for p in _symmetries(lattice):
         if np.array_equal(p, ident) or not np.array_equal(p[p], ident):
             continue
         # in B's index type, so the lookups convert no index copies
-        q = p.astype(B.indices.dtype)
+        q = p.astype(B.indices.dtype, copy=False)
         flip = np.signbit(np.asarray(B[q[up], q[child]]).ravel()) != signs
         parity = tree_potential(EdgeGraph(n, edges, flip.astype(float), lattice.grid.spacing), tree) % 2
         d = 1.0 - 2.0 * parity
-        if np.all(d * d[p] == 1.0) and np.array_equal(d[r] * d[c] * np.asarray(B[q[r], q[c]]).ravel(), coo.data):
-            return p, d
+        if np.all(d * d[p] == 1.0) and _keeps_block(B, q, d):
+            return p.copy(), d
     return None
+
+
+# rows of B per slice of the S B S^T = B check: its temporaries stay a few
+# thousand entries long, not B's nonzero count
+_CHECK_ROWS = 2048
+
+
+def _keeps_block(B, q, d):
+    """Whether d_v d_w B[q(v), q(w)] equals B[v, w] bit for bit on every
+    stored entry (v, w) of B, read off B's CSR arrays a slice of rows at a time."""
+    indptr = B.indptr
+    for lo in range(0, B.shape[0], _CHECK_ROWS):
+        hi = min(lo + _CHECK_ROWS, B.shape[0])
+        a, b = indptr[lo], indptr[hi]
+        r = np.repeat(np.arange(lo, hi, dtype=indptr.dtype), np.diff(indptr[lo : hi + 1]))
+        c = B.indices[a:b]
+        if not np.array_equal(d[r] * d[c] * np.asarray(B[q[r], q[c]]).ravel(), B.data[a:b]):
+            return False
+    return True
 
 
 def _sector_bases(p, d):
@@ -638,28 +675,39 @@ def _half_flux_ground(cfg: ExperimentConfig, lattice: Lattice, cover):
     bounds = gershgorin_bounds(B)
     reflection = _reflection(B, lattice)
     bases = [] if reflection is None else _sector_bases(*reflection)
+    del reflection
     if not bases or min(Q.shape[1] for Q in bases) <= m:
         bases = [None]
 
     def solve(Q):
-        def embed(r):
-            return r if Q is None else EigenResult(r.eigenvalues, Q @ r.eigenvectors, r.residuals)
-
         try:
-            return embed(lowest_eigenpairs(B if Q is None else Q.T @ B @ Q, m, tol=s.tol, seed=s.seed, bounds=bounds))
+            return lowest_eigenpairs(B if Q is None else Q.T @ B @ Q, m, tol=s.tol, seed=s.seed, bounds=bounds)
         except NoConvergence as exc:
-            exc.best_result = embed(exc.best_result)
+            best = exc.best_result
+            if Q is not None:
+                exc.best_result = EigenResult(best.eigenvalues, Q @ best.eigenvectors, best.residuals)
             raise
 
+    # each sector's vectors come back in its own coordinates, half of B's
     sectors = _fan_out(solve, bases)
     lam = np.concatenate([r.eigenvalues for r in sectors])
     keep = np.argsort(lam, kind="stable")[:m]
-    U = np.hstack([r.eigenvectors for r in sectors])[:, keep]
-    # the solver fixes each vector only up to sign: make its largest |u|
-    # entry (the first of equal ones) positive, so no output depends on it
-    U *= np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
     lam = lam[keep]
-    r = EigenResult(lam, U, np.linalg.norm(B @ U - U * lam, axis=0))
+    # the kept columns, embedded straight into U; the sectors go before the
+    # residuals take their temporaries
+    columns = [(Q, r.eigenvectors[:, j]) for Q, r in zip(bases, sectors) for j in range(r.eigenvalues.size)]
+    U = np.empty((B.shape[0], m), order="F")
+    for i, col in enumerate(keep):
+        Q, v = columns[col]
+        U[:, i] = v if Q is None else Q @ v
+    del bases, sectors, columns
+    residuals = np.empty(m)
+    for i, u in enumerate(U.T):
+        # the solver fixes each vector only up to sign: make its largest |u|
+        # entry (the first of equal ones) positive, so no output depends on it
+        u *= np.sign(u[np.argmax(np.abs(u))])
+        residuals[i] = np.linalg.norm(B @ u - lam[i] * u)
+    r = EigenResult(lam, U, residuals)
     norm = max(abs(bounds[0]), abs(bounds[1]))
     if np.any(r.residuals > s.tol * norm):
         raise NoConvergence(f"half-flux residuals {r.residuals} exceed {s.tol} * {norm:.3e}", best_result=r)

@@ -251,6 +251,52 @@ def winding_number(points, center):
     return float(np.sum(inc) / (2.0 * np.pi))
 
 
+def raster_links(mask, steps):
+    """(n, len(steps)) int32 array whose entry (v, s) numbers the cell one
+    step steps[s] = (di, dj), di >= 0, on from cell v of mask, or reads -1
+    where that cell lies off the mask or the raster.
+
+    Cells are numbered from 0 in raster order, in int32, the index type of
+    scipy.sparse.csgraph.
+    """
+    ni, nj = mask.shape
+    n = int(np.count_nonzero(mask))
+    index = np.full(mask.shape, -1, dtype=np.int32)
+    index[mask] = np.arange(n, dtype=np.int32)
+    ahead = np.full((n, len(steps)), -1, dtype=np.int32)
+    for s, (di, dj) in enumerate(steps):
+        # cell (a, b) of src steps to cell (a + di, b + dj) of dst
+        src = (slice(0, ni - di), slice(max(0, -dj), nj - max(0, dj)))
+        dst = (slice(di, ni), slice(max(0, dj), nj + min(0, dj)))
+        on = mask[src]
+        ahead[index[src][on], s] = index[dst][on]
+    return ahead
+
+
+def link_components(ahead):
+    """(count, labels) of the connected components of the graph that links
+    node v to each node ahead[v, s] >= 0, labelled from 0 in order of each
+    component's lowest node.
+
+    The graph goes to csgraph in CSR form read straight off ahead: no COO
+    copy, and its int32 indices and float64 ones are the types csgraph
+    works in, so it converts nothing.
+    """
+    # imported here and not with the module, so that loading fluxlab and a
+    # config stays free of it (about 3 ms and 1 MB of RSS); every grid build
+    # loads it here, so only `fluxlab circle`, which builds no grid, skips it
+    from scipy.sparse.csgraph import connected_components
+
+    n = ahead.shape[0]
+    linked = ahead >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(linked, axis=1), out=indptr[1:])
+    heads = ahead[linked]
+    del linked
+    g = sparse.csr_matrix((np.ones(heads.size), heads, indptr), shape=(n, n))
+    return connected_components(g, directed=False)
+
+
 def label_components(mask, diagonal=False):
     """(labels, count) of the connected components of a boolean raster.
 
@@ -259,24 +305,8 @@ def label_components(mask, diagonal=False):
     the mask read 0: the numbering of scipy.ndimage.label, whose import would
     also load scipy.special.
     """
-    from scipy.sparse.csgraph import connected_components  # see cover.spanning_tree
-
-    ni, nj = mask.shape
-    n = int(np.count_nonzero(mask))
-    index = np.full(mask.shape, -1, dtype=np.int64)
-    index[mask] = np.arange(n)
-    rows, cols = [], []
-    for di, dj in ((1, 0), (0, 1)) + (((1, 1), (1, -1)) if diagonal else ()):
-        # cell (a, b) of src links to cell (a + di, b + dj) of dst
-        src = (slice(0, ni - di), slice(max(0, -dj), nj - max(0, dj)))
-        dst = (slice(di, ni), slice(max(0, dj), nj + min(0, dj)))
-        link = mask[src] & mask[dst]
-        rows.append(index[src][link])
-        cols.append(index[dst][link])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    g = sparse.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
-    # labels in order of each component's lowest index, i.e. its first cell
-    count, lab = connected_components(g, directed=False)
+    steps = ((1, 0), (0, 1)) + (((1, 1), (1, -1)) if diagonal else ())
+    count, lab = link_components(raster_links(mask, steps))
     labels = np.zeros(mask.shape, dtype=np.int32)
     labels[mask] = lab + 1
     return labels, int(count)
@@ -288,7 +318,7 @@ def full_cells(mask):
 
 
 # lattice points in the index window of build_grid: its rasters peak at
-# about 180 bytes per point, so the cap stands for about 1.8 GB
+# about 130 bytes per point, so the cap stands for about 1.3 GB
 MAX_WINDOW_POINTS = 10_000_000
 
 
@@ -313,8 +343,10 @@ def build_grid(spec: DomainSpec) -> GridDomain:
     j1 = math.ceil(ymax / h) + 2
     ni, nj = i1 - i0 + 1, j1 - j0 + 1
 
-    ii, jj = np.meshgrid(np.arange(i0, i1 + 1), np.arange(j0, j1 + 1), indexing="ij")
-    xx, yy = ii * h, jj * h
+    # a column of x and a row of y: the shapes test them on the whole window
+    # by broadcasting, with no window-sized coordinate rasters
+    xx = (np.arange(i0, i1 + 1) * h)[:, None]
+    yy = (np.arange(j0, j1 + 1) * h)[None, :]
     active = spec.outer.contains(xx, yy, closed=True)
     for hole in spec.holes:
         active &= ~hole.contains(xx, yy, closed=False)
@@ -356,27 +388,23 @@ def build_grid(spec: DomainSpec) -> GridDomain:
         if not full_cells(excl == idx + 1).any():
             raise SpecTooCoarse(f"hole {idx + 1} contains no fully excluded cell")
 
-    # vertex table in lexicographic (i, j) order
-    vid = np.full((ni, nj), -1, dtype=np.int64)
+    # vertex table in lexicographic (i, j) order; the rasters hold int32 ids
+    vid = np.full((ni, nj), -1, dtype=np.int32)
     aw, bw = np.nonzero(active)
     vid[aw, bw] = np.arange(aw.size)
-    ij = np.column_stack([aw + i0, bw + j0]).astype(np.int64)
+    ij = np.column_stack([aw + i0, bw + j0]).astype(np.int64, copy=False)
     xy = ij * h
 
-    # canonical edges: +x then +y
+    # canonical edges: +x then +y, each kind in raster order of its tail
     ex = active[:-1, :] & active[1:, :]
     ey = active[:, :-1] & active[:, 1:]
-    exa, exb = np.nonzero(ex)
-    eya, eyb = np.nonzero(ey)
-    edges = np.concatenate(
-        [
-            np.column_stack([vid[exa, exb], vid[exa + 1, exb]]),
-            np.column_stack([vid[eya, eyb], vid[eya, eyb + 1]]),
-        ]
-    )
-    edge_raster = np.full((2, ni, nj), -1, dtype=np.int64)
-    edge_raster[0, exa, exb] = np.arange(exa.size)
-    edge_raster[1, eya, eyb] = np.arange(exa.size, exa.size + eya.size)
+    mx = int(np.count_nonzero(ex))
+    edge_raster = np.full((2, ni, nj), -1, dtype=np.int32)
+    edge_raster[0, :-1][ex] = np.arange(mx)
+    edge_raster[1, :, :-1][ey] = np.arange(mx, mx + np.count_nonzero(ey))
+    edges = np.empty((mx + np.count_nonzero(ey), 2), dtype=np.int64)
+    edges[:mx, 0], edges[:mx, 1] = vid[:-1][ex], vid[1:][ex]
+    edges[mx:, 0], edges[mx:, 1] = vid[:, :-1][ey], vid[:, 1:][ey]
 
     # boundary labels from the excluded region touching each active vertex
     labels = np.full(aw.size, -1, dtype=np.int16)
@@ -413,7 +441,8 @@ def lattice_symmetries(grid: GridDomain) -> np.ndarray:
     """Vertex permutations of the square's symmetries (D4) that map the
     active set onto itself, the identity first.
 
-    Row g sends vertex v to vertex out[g, v].  A symmetry of a finite point
+    Row g sends vertex v to vertex out[g, v], in int32 like the vertex
+    raster.  A symmetry of a finite point
     set fixes its bounding box, so the candidates are the flips of the
     vertex raster cropped to that box, and its transposes when the box is
     square.  Each maps lattice neighbours to lattice neighbours, so a row
@@ -430,7 +459,7 @@ def lattice_symmetries(grid: GridDomain) -> np.ndarray:
         for image in (t, t[::-1], t[:, ::-1], t[::-1, ::-1])
         if np.array_equal(image >= 0, active)
     ]
-    perms = np.empty((len(images), grid.n_vertices), dtype=np.int64)
+    perms = np.empty((len(images), grid.n_vertices), dtype=np.int32)
     for perm, image in zip(perms, images):
         perm[image[active]] = box[active]
     return perms

@@ -20,7 +20,7 @@ from scipy import sparse
 
 from .cover import CoverGraph
 from .errors import NoSignChange
-from .geometry import GridDomain, full_cells, label_components
+from .geometry import GridDomain, full_cells, label_components, link_components, raster_links
 
 
 @dataclass
@@ -109,6 +109,36 @@ def _cut_rasters(grid: GridDomain, cover: CoverGraph):
 _CELL_EDGES = (("x", 0, 0, 0, 1), ("x", 0, 1, 2, 3), ("y", 0, 0, 0, 2), ("y", 1, 0, 1, 3))
 
 
+def _mixed_cells(u, cover: CoverGraph, grid: GridDomain):
+    """(cells, base, lifted, value) for the fully active cells whose corners
+    differ in sign on the lift that puts their (a, b) corner on sheet 0.
+
+    cells is (c, 2), the window coordinates (a, b) in raster order; the
+    others are (4, c), one row per corner (a, b), (a + 1, b), (a, b + 1),
+    (a + 1, b + 1): its vertex id, its lifted id (sheet 1 adds n) and its
+    lifted value.  A corner's sheet is the parity of the cut edges crossed
+    from (a, b), and the lift negates u on sheet 1, so its sign is that of u
+    flipped by its sheet: only bit rasters span the window, and ids and
+    values are read for the mixed cells alone.
+    """
+    n = grid.n_vertices
+    cx, cy = _cut_rasters(grid, cover)
+    # sign bit of u at each window point (inactive points read False)
+    neg = np.zeros(grid._active.shape, dtype=bool)
+    neg[grid._active] = np.signbit(u)
+    s10, s01 = cx[:-1, :-1], cy[:-1, :-1]
+    sheet = (s10, s01, s10 ^ cy[1:, :-1])
+    corner_neg = (neg[:-1, :-1], neg[1:, :-1] ^ sheet[0], neg[:-1, 1:] ^ sheet[1], neg[1:, 1:] ^ sheet[2])
+    some = corner_neg[0] | corner_neg[1] | corner_neg[2] | corner_neg[3]
+    every = corner_neg[0] & corner_neg[1] & corner_neg[2] & corner_neg[3]
+    cells = np.argwhere(full_cells(grid._active) & some & ~every)
+    a, b = cells[:, 0], cells[:, 1]
+    vid = grid._vid
+    base = np.stack([vid[a, b], vid[a + 1, b], vid[a, b + 1], vid[a + 1, b + 1]])
+    flip = np.stack([np.zeros(a.size, dtype=bool)] + [s[a, b] for s in sheet])
+    return cells, base, base + n * flip, np.where(flip, -u[base], u[base])
+
+
 def extract_nodal_set(u, cover: CoverGraph, grid: GridDomain) -> NodalSet:
     """Marching-squares zero contour of a half-flux real eigenvector.
 
@@ -129,28 +159,16 @@ def extract_nodal_set(u, cover: CoverGraph, grid: GridDomain) -> NodalSet:
     u = _zero_band(u)
 
     i0, j0, ni, nj = grid._window
-    vid = grid._vid
     h = grid.spacing
-    cx, cy = _cut_rasters(grid, cover)
-
-    # the corners (a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1) of every
-    # cell, the sheet of each on the lift from (a, b) on sheet 0 (a step
-    # across a cut edge changes sheet), their lifted ids and values
-    base = np.stack([vid[:-1, :-1], vid[1:, :-1], vid[:-1, 1:], vid[1:, 1:]])
-    s10, s01 = cx[:-1, :-1], cy[:-1, :-1]
-    sheet = np.stack([np.zeros_like(s10), s10, s01, s10 ^ cy[1:, :-1]])
-    lifted = base + n * sheet
-    value = np.where(sheet, -u[base], u[base])
+    cells, base, lifted, value = _mixed_cells(u, cover, grid)
     positive = ~np.signbit(value)
-    # only cells whose corners differ in sign hold a crossing
-    mixed = full_cells(grid._active) & positive.any(axis=0) & ~positive.all(axis=0)
 
     nodes = {}     # edge key -> crossing point
     crossings = []  # (tail, head, t) per node
     segments = []  # (key1, key2, (a, b))
 
-    for a, b in np.argwhere(mixed):
-        ids, x, pos = lifted[:, a, b], value[:, a, b], positive[:, a, b]
+    for c, (a, b) in enumerate(cells):
+        ids, x, pos = lifted[:, c], value[:, c], positive[:, c]
         hits = []
         for axis, da, db, i, j in _CELL_EDGES:
             if pos[i] == pos[j]:
@@ -158,8 +176,10 @@ def extract_nodal_set(u, cover: CoverGraph, grid: GridDomain) -> NodalSet:
                 continue
             key = (axis, a + da, b + db)
             if key not in nodes:
-                t = x[i] / (x[i] - x[j])
-                pa, pb = grid.xy[base[i, a, b]], grid.xy[base[j, a, b]]
+                # two zeros read on opposite sides (+0.0 and -0.0, one per
+                # sheet) meet midway, where 0 / 0 would be nan
+                t = x[i] / (x[i] - x[j]) if x[i] != x[j] else 0.5
+                pa, pb = grid.xy[base[i, c]], grid.xy[base[j, c]]
                 nodes[key] = pa + t * (pb - pa)
                 crossings.append((ids[i], ids[j], t))
             hits.append(key)
@@ -326,38 +346,30 @@ def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:
     )
 
 
-def _two_sheet_components(t0, t1, flip, n):
-    """(count, labels) of the connected components of a two-sheet graph.
-
-    Node t + n * s is base node t on sheet s; each base link t0 -- t1 joins
-    equal sheets where flip is 0 and changes sheet where it is 1, as a cut
-    edge does on the cover.
-    """
-    from scipy.sparse.csgraph import connected_components  # see cover.spanning_tree
-
-    rows = np.concatenate([t0, t0 + n])
-    cols = np.concatenate([t1 + n * flip, t1 + n * (1 - flip)])
-    g = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
-    return connected_components(g, directed=False)
-
-
 def _cover_components(nodal: NodalSet, grid: GridDomain, free) -> int:
-    """Components of the lifted free cells; sheets propagate through cut bits."""
-    n_free = int(np.count_nonzero(free))
-    if n_free == 0:
+    """Components of the lifted free cells; sheets propagate through cut bits.
+
+    Node (v, s) is free cell v on sheet s.  A link between free cells keeps
+    the sheet, or changes it where it steps across a cut edge: cx[a, b]
+    links (a, b) to (a + 1, b), cy[a, b] links (a, b) to (a, b + 1).  The
+    links that keep the sheet join the free cells into pieces, each of which
+    lifts to one node per sheet; the few links across the cut lines then join
+    those, in a graph the size of the cuts, not of the cells.
+    """
+    from scipy.sparse.csgraph import connected_components  # see geometry.link_components
+
+    ahead = raster_links(free, ((1, 0), (0, 1)))
+    if ahead.shape[0] == 0:
         return 0
     cx, cy = _cut_rasters(grid, nodal.cover)
     na, nb = free.shape
-    index = np.full(free.shape, -1, dtype=np.int64)
-    index[free] = np.arange(n_free)
-    # a step across a cut edge changes sheet: cx[a, b] links (a, b) to
-    # (a + 1, b), cy[a, b] links (a, b) to (a, b + 1)
-    x_link = free[:-1, :] & free[1:, :]
-    y_link = free[:, :-1] & free[:, 1:]
-    t0 = np.concatenate([index[:-1, :][x_link], index[:, :-1][y_link]])
-    t1 = np.concatenate([index[1:, :][x_link], index[:, 1:][y_link]])
-    cut = np.concatenate([cx[: na - 1, :nb][x_link], cy[:na, : nb - 1][y_link]]).astype(np.int64)
-    return int(_two_sheet_components(t0, t1, cut, n_free)[0])
+    across = np.column_stack([cx[:na, :nb][free], cy[:na, :nb][free]]) & (ahead >= 0)
+    count, piece = link_components(np.where(across, -1, ahead))
+    # (p, s) is node p + count * s; a link across a cut joins (p, s) to (q, 1 - s)
+    p, q = piece[np.nonzero(across)[0]], piece[ahead[across]]
+    rows, cols = np.concatenate([p, p + count]), np.concatenate([q + count, q])
+    g = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * count, 2 * count))
+    return int(connected_components(g, directed=False)[0])
 
 
 def polylines_text(nodal: NodalSet, path):

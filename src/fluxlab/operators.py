@@ -36,16 +36,18 @@ class EdgeGraph:
         """Symmetric signed adjacency in CSR form with sorted indices.
 
         Entry (v, w) is e + 1 for the canonical edge e = v -> w and -(e + 1)
-        for its reverse.  Raises ValueError on a loop or a repeated edge,
-        which would merge two entries.
+        for its reverse, stored as float64 (exact below 2**53 edges) with
+        int32 indices: the types csgraph works in, so a traversal converts
+        no copy.  Raises ValueError on a loop or a repeated edge, which
+        would merge two entries.
         """
         m = self.edges.shape[0]
-        ids = np.arange(1, m + 1, dtype=np.int64)
-        tails, heads = self.edges[:, 0], self.edges[:, 1]
-        adj = sparse.csr_matrix(
-            (np.concatenate([ids, -ids]), (np.concatenate([tails, heads]), np.concatenate([heads, tails]))),
-            shape=(self.n, self.n),
-        )
+        rows, cols = np.empty(2 * m, dtype=np.int32), np.empty(2 * m, dtype=np.int32)
+        rows[:m], rows[m:], cols[:m], cols[m:] = self.edges[:, 0], self.edges[:, 1], self.edges[:, 1], self.edges[:, 0]
+        ids = np.empty(2 * m)
+        ids[:m] = np.arange(1, m + 1)
+        np.negative(ids[:m], out=ids[m:])
+        adj = sparse.csr_matrix((ids, (rows, cols)), shape=(self.n, self.n))
         if adj.nnz != 2 * m:
             raise ValueError("edge list has a loop or a repeated edge")
         adj.sort_indices()
@@ -109,28 +111,33 @@ def assemble(graph: EdgeGraph, V=None, keep=None) -> HamiltonianMatrix:
         raise InconsistentSizes("keep mask size mismatch")
 
     inv_h2 = 1.0 / graph.spacing**2
-    deg = np.zeros(n)
-    np.add.at(deg, graph.edges[:, 0], 1.0)
-    np.add.at(deg, graph.edges[:, 1], 1.0)
+    tails, heads = graph.edges[:, 0], graph.edges[:, 1]
+    deg = np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n)
 
     # int32, the CSR index type, so the COO input needs no converted copy
     unk = np.full(n, -1, dtype=np.int32)
-    vtx = np.nonzero(keep)[0]
-    unk[vtx] = np.arange(vtx.size)
+    vtx = np.flatnonzero(keep)
+    unk[vtx] = np.arange(vtx.size, dtype=np.int32)
 
     real = bool(np.all((graph.theta == 0.0) | (graph.theta == np.pi)))
     dtype = np.float64 if real else np.complex128
-    tails, heads = graph.edges[:, 0], graph.edges[:, 1]
-    both = keep[tails] & keep[heads]
-    a, b = unk[tails[both]], unk[heads[both]]
-    theta = graph.theta[both]
+    a, b, theta = unk[tails], unk[heads], graph.theta
+    both = (a >= 0) & (b >= 0)
+    if not both.all():
+        a, b, theta = a[both], b[both], theta[both]
     hop = -(np.cos(theta) if real else np.exp(-1j * theta)) * inv_h2
 
-    rows = np.concatenate([a, b, unk[vtx]])
-    cols = np.concatenate([b, a, unk[vtx]])
-    vals = np.concatenate([hop, np.conj(hop), (deg[vtx] * inv_h2 + V[vtx]).astype(dtype)])
+    # the COO triplets written in place: hops both ways, then the diagonal
+    m, nnz = a.size, 2 * a.size + vtx.size
+    rows, cols = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32)
+    vals = np.empty(nnz, dtype=dtype)
+    rows[:m], rows[m : 2 * m], cols[:m], cols[m : 2 * m] = a, b, b, a
+    rows[2 * m :] = cols[2 * m :] = unk[vtx]
+    vals[:m] = hop
+    np.conj(hop, out=vals[m : 2 * m])
+    vals[2 * m :] = deg[vtx] * inv_h2 + V[vtx]
+    del a, b, theta, hop, deg, unk
     mat = sparse.csr_matrix((vals, (rows, cols)), shape=(vtx.size, vtx.size))
-    mat.sum_duplicates()
     return HamiltonianMatrix(matrix=mat)
 
 
@@ -253,7 +260,7 @@ def shortest_slit(grid: GridDomain, hole: int, outer_vertex: int) -> SlitPath:
         raise BadSlit(f"hole index {hole} outside 1..{grid.k}")
     if grid.boundary_labels[outer_vertex] != 0:
         raise BadSlit("starting vertex must lie on the outer boundary")
-    from scipy.sparse.csgraph import breadth_first_order  # see cover.spanning_tree
+    from scipy.sparse.csgraph import breadth_first_order  # see geometry.link_components
 
     adj = as_edge_graph(grid, zero_field(grid)).adjacency()
     order, pred = breadth_first_order(adj, int(outer_vertex), directed=True, return_predecessors=True)

@@ -3,17 +3,20 @@
 The complex half-flux route (the K-path) finds K-fixed representatives of a
 magnetic eigenspace; their real cover lifts are what the real half-flux
 block must reproduce.  Beside it: the reflection lift of the half-flux
-block read off a two-sheet graph, the zeros of a real antisymmetric
-function on the circle cover, the integer flux shift of a link field, and
-the Hermiticity defect of an assembled operator.
+block read off a two-sheet graph, the mixed cells of marching squares read
+off corner stacks over the whole index window, the zeros of a real
+antisymmetric function on the circle cover, the integer flux shift of a
+link field, and the Hermiticity defect of an assembled operator.
 """
 
 import numpy as np
+from scipy import sparse
 
 import fluxlab as fl
 from fluxlab.errors import FluxlabError, LengthMismatch, NoSignChange
 from fluxlab.experiments import _symmetries
-from fluxlab.nodal import _two_sheet_components, _zero_band
+from fluxlab.geometry import full_cells
+from fluxlab.nodal import _cut_rasters, _zero_band
 
 KEEP_TOL = 1e-6  # shortest Gram-Schmidt candidate that adds a K-fixed direction
 
@@ -68,6 +71,21 @@ def real_representative(u, kop: fl.ConjugationOperator) -> np.ndarray:
     return real_representatives(u, kop)[:, 0]
 
 
+def two_sheet_components(t0, t1, flip, n):
+    """(count, labels) of the connected components of a two-sheet graph.
+
+    Node t + n * s is base node t on sheet s; each base link t0 -- t1 joins
+    equal sheets where flip is 0 and changes sheet where it is 1, as a cut
+    edge does on the cover.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    rows = np.concatenate([t0, t0 + n])
+    cols = np.concatenate([t1 + n * flip, t1 + n * (1 - flip)])
+    g = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
+    return connected_components(g, directed=False)
+
+
 def two_sheet_lift(B, lattice):
     """(p, d) for the first lattice involution p that keeps V for which
     S = D P, (S u)_v = d_v u_p(v), satisfies S B S^T = B bit for bit and
@@ -86,11 +104,31 @@ def two_sheet_lift(B, lattice):
             continue
         image = np.asarray(B[p[r], p[c]]).ravel()
         flip = (np.signbit(image) != np.signbit(coo.data)).astype(np.int64)
-        labels = _two_sheet_components(r, c, flip, n)[1]
+        labels = two_sheet_components(r, c, flip, n)[1]
         d = np.where(labels[:n] == labels[0], 1.0, -1.0)
         if np.all(d * d[p] == 1.0) and np.array_equal(d[r] * d[c] * image, coo.data):
             return p, d
     return None
+
+
+def whole_window_mixed_cells(u, cover: fl.CoverGraph, grid: fl.GridDomain):
+    """nodal._mixed_cells read off (4, ni - 1, nj - 1) stacks over the whole
+    index window: the corner ids of every cell, the sheet of each corner on
+    the lift from its (a, b) corner on sheet 0, their lifted ids and values.
+    The mixed cells are the fully active ones whose lifted values differ in
+    sign bit."""
+    n = grid.n_vertices
+    vid = grid._vid.astype(np.int64)
+    cx, cy = _cut_rasters(grid, cover)
+    base = np.stack([vid[:-1, :-1], vid[1:, :-1], vid[:-1, 1:], vid[1:, 1:]])
+    s10, s01 = cx[:-1, :-1], cy[:-1, :-1]
+    sheet = np.stack([np.zeros_like(s10), s10, s01, s10 ^ cy[1:, :-1]])
+    lifted = base + n * sheet
+    value = np.where(sheet, -u[base], u[base])
+    positive = ~np.signbit(value)
+    cells = np.argwhere(full_cells(grid._active) & positive.any(axis=0) & ~positive.all(axis=0))
+    a, b = cells[:, 0], cells[:, 1]
+    return cells, base[:, a, b], lifted[:, a, b], value[:, a, b]
 
 
 def circle_zero_points(f, cover: fl.CoverGraph) -> np.ndarray:

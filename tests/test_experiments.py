@@ -37,6 +37,7 @@ from fluxlab.experiments import (
     _sweep_fluxes,
     _sweep_spectra,
     discretize,
+    require_sweep_claims,
     run_circle_check,
     run_cover_equivalence,
     run_flux_sweep,
@@ -770,6 +771,42 @@ def test_cli_one_hole_experiment_on_two_holes_exits_2(tmp_path, command, radius)
     assert cli_main([command, "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        # the sweep is the one flux 0, and strict-minimum-at-zero-flux passed
+        # with a min margin of inf
+        ("step = 5", "holds no flux off the integers"),
+        # the argmax is flux 0.3, and maximality-at-half-flux failed
+        ("stop = 0.3\nstep = 0.1", "misses flux 1/2"),
+    ],
+    ids=["no-flux-off-the-integers", "one-hole-without-half-flux"],
+)
+@pytest.mark.parametrize("command", ["sweep", "all"])
+def test_cli_sweep_that_cannot_decide_its_claims_exits_2(tmp_path, monkeypatch, capsys, sweep, message, command):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"{BASE_DOMAIN}[sweep]\nstart = 0.0\n{sweep}\n")
+    cfg = load_config(cfgp)
+    with pytest.raises(ConfigError, match=message):
+        run_flux_sweep(cfg, discretize(cfg))
+    builds = []
+    monkeypatch.setattr(fl.experiments, "build_grid", lambda spec: builds.append(spec))
+    out = tmp_path / "r"
+    assert cli_main([command, "--config", str(cfgp), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert builds == [] and not (out / "verdicts.txt").exists()
+
+
+def test_two_hole_sweep_needs_no_half_flux(tmp_path, coarse_cfg):
+    # maximality is a one-hole claim: two holes may sweep 0..0.3, one may not
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(TWO_HOLES_COARSE.replace("stop = 1.0\nstep = 0.25", "stop = 0.3\nstep = 0.1"))
+    cfg = load_config(cfgp)
+    require_sweep_claims(cfg)
+    with pytest.raises(ConfigError, match="misses flux 1/2"):
+        require_sweep_claims(dataclasses.replace(cfg, domain=coarse_cfg.domain))
+
+
 # each key's valid value on a coarse annulus, then the values a fuzzed key
 # may take instead: not finite, zero, negative, or too big for the grid
 FUZZ_KEYS = {
@@ -1020,6 +1057,13 @@ def test_reflection_is_the_two_sheet_oracles_first_lift(annulus, offset_annulus,
 
     check()
     assert set(found) == {True, False}
+
+
+def test_reflection_returns_a_permutation_of_its_own(annulus):
+    # a row of the symmetry group would keep the whole (8, n) group alive
+    # through the sector solves
+    p, _ = _reflection(fl.antisymmetric_block(_half_flux_cover(annulus)).matrix, Lattice(annulus, None))
+    assert p.base is None and p.flags.owndata
 
 
 def test_point_reflection_lift_squares_to_minus_one(annulus):
