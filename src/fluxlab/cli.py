@@ -3,8 +3,13 @@
 Exit codes: 0 all verdicts pass; 1 some verdict failed, or the run stopped
 on a FluxlabError, which prints `error:` and writes no verdicts.txt;
 2 config/IO error, or a config whose domain or sweep cannot decide a claim
-of the experiments asked for (a one-hole experiment on k != 1 holes, a
-sweep with no flux off the integers, a one-hole sweep without flux 1/2).
+of the experiments asked for (any experiment but circle on a domain with
+no hole, a one-hole experiment on k != 1 holes, a sweep with no flux off
+the integers, a one-hole sweep without flux 1/2).
+
+Each line of verdicts.txt reads `PASS|FAIL <name> | <claim>: <label>
+<value> (<op> <bound>), ...`, one check per number; a verdict passes when
+every check holds, and a nan value meets no bound.
 """
 
 from __future__ import annotations

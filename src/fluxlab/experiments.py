@@ -2,14 +2,16 @@
 and cover equivalence, each emitting CSV rows and pass/fail verdicts.
 
 Every verdict states a checkable mathematical claim about the computed
-spectra; the claim text is embedded in the verdict files so a summary run
-reads as a list of verified statements.
+spectra and the checks that decide it, each a number next to its bound;
+the claim text is embedded in the verdict files so a summary run reads as
+a list of verified statements.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import operator
 import os
 import pickle
 import select
@@ -52,11 +54,44 @@ from .operators import (
 from .svgout import nodal_svg
 
 
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "==": operator.eq}
+
+
+def _number(x):
+    return str(x) if isinstance(x, (int, np.integer)) else f"{x:.4g}"
+
+
+class Check(NamedTuple):
+    """One number of a verdict and the bound it must meet: value op bound.
+    A nan value meets no bound."""
+
+    label: str
+    value: float
+    op: str
+    bound: float
+
+    def holds(self) -> bool:
+        return bool(_OPS[self.op](self.value, self.bound))
+
+    def __str__(self):
+        return f"{self.label} {_number(self.value)} ({self.op} {_number(self.bound)})"
+
+
 @dataclass
 class Verdict:
+    """A claim and the checks that decide it: it passes when every check holds."""
+
     name: str
-    passed: bool
-    detail: str
+    claim: str
+    checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.holds() for c in self.checks)
+
+    @property
+    def detail(self) -> str:
+        return f"{self.claim}: " + ", ".join(map(str, self.checks))
 
     def line(self):
         return f"{'PASS' if self.passed else 'FAIL'} {self.name} | {self.detail}"
@@ -189,9 +224,14 @@ def require_one_hole(cfg: ExperimentConfig, experiment: str):
 
 def discretize(cfg: ExperimentConfig, domain: DomainSpec = None) -> Lattice:
     """The grid of domain (default cfg.domain) and cfg's potential on it;
-    ConfigError if the grid does not build or has no more vertices than [solver] count."""
+    ConfigError if the domain has no hole, which every claim on the grid
+    is about, if the grid does not build or has no more vertices than
+    [solver] count."""
+    domain = cfg.domain if domain is None else domain
+    if domain.k == 0:
+        raise ConfigError("[domain] has no hole: every experiment but circle needs one")
     try:
-        grid = build_grid(cfg.domain if domain is None else domain)
+        grid = build_grid(domain)
     except (SpecTooCoarse, SpecTooFine, DisconnectedDomain) as exc:
         raise ConfigError(f"[domain] does not build a grid: {exc}") from exc
     if cfg.solver.count >= grid.n_vertices:
@@ -210,7 +250,7 @@ def _sweep_spectra(cfg: ExperimentConfig, lattice: Lattice, fluxes) -> dict:
     """{flux: _Spectrum} for every flux, keyed by the flux rounded to 12
     digits, solved as one _fan_out batch.
 
-    A flux whose solve raised NoConvergence maps to that exception, with a
+    The first flux whose solve raised NoConvergence raises it here, with a
     _Spectrum as its best result.
     """
     grid, V = lattice
@@ -223,7 +263,7 @@ def _sweep_spectra(cfg: ExperimentConfig, lattice: Lattice, fluxes) -> dict:
         except NoConvergence as exc:
             best = exc.best_result
             exc.best_result = _Spectrum(best.eigenvalues, best.residuals)
-            return exc
+            raise
         return _Spectrum(r.eigenvalues, r.residuals)
 
     keys = list(dict.fromkeys(round(float(t), 12) for t in fluxes))
@@ -286,10 +326,7 @@ def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     spectra = _sweep_spectra(cfg, lattice, _sweep_fluxes(ts, grid.k))
 
     def spectrum(t):
-        r = spectra[round(float(t), 12)]
-        if isinstance(r, NoConvergence):
-            raise r
-        return r
+        return spectra[round(float(t), 12)]
 
     def lam1(t):
         return float(spectrum(t).eigenvalues[0])
@@ -306,47 +343,26 @@ def run_flux_sweep(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     def max_deviation(pairs):
         return max(abs(lam1(a) - lam1(b)) / (1.0 + abs(lam1(a))) for a, b in pairs)
 
-    verdicts = []
-    dev = max_deviation(_SHIFT_PAIRS)
-    verdicts.append(
-        Verdict(
-            "periodicity",
-            dev <= 1e-10,
-            f"lambda1(flux) = lambda1(flux+1): max relative deviation {dev:.3e} (tol 1e-10)",
-        )
-    )
-    dev = max_deviation(_FLIP_PAIRS)
-    verdicts.append(
-        Verdict(
-            "half-flux-symmetry",
-            dev <= 1e-10,
-            f"lambda1(1/2+t) = lambda1(1/2-t): max relative deviation {dev:.3e} (tol 1e-10)",
-        )
-    )
+    deviation = "max relative deviation"
+    verdicts = [
+        Verdict("periodicity", "lambda1(flux) = lambda1(flux+1)",
+                (Check(deviation, max_deviation(_SHIFT_PAIRS), "<=", 1e-10),)),
+        Verdict("half-flux-symmetry", "lambda1(1/2+t) = lambda1(1/2-t)",
+                (Check(deviation, max_deviation(_FLIP_PAIRS), "<=", 1e-10),)),
+    ]
     lam0 = lam1(0.0)
     margins = {t: lam1(_flux_class(t)) - lam0 for t in _off_integers(ts)}
-    min_margin = min(margins.values())
-    margin_quarter = margins.get(0.25, np.nan)
-    verdicts.append(
-        Verdict(
-            "strict-minimum-at-zero-flux",
-            bool(min_margin > 0 and (np.isnan(margin_quarter) or margin_quarter >= 1e-6)),
-            f"lambda1(flux) > lambda1(0) off integers: min margin {min_margin:.3e}, "
-            f"margin at flux 0.25 = {margin_quarter:.3e}",
-        )
-    )
+    # the margin at flux 0.25 is checked where the sweep holds that flux
+    quarter = [Check("margin at flux 0.25", margins[0.25], ">=", 1e-6)] if 0.25 in margins else []
+    verdicts.append(Verdict("strict-minimum-at-zero-flux", "lambda1(flux) > lambda1(0) off integers",
+                            (Check("min margin", min(margins.values()), ">", 0.0), *quarter)))
     if grid.k == 1:
         lam_by_t = {t: lam1(_flux_class(t)) for t in ts}
         t_max = max(lam_by_t, key=lam_by_t.get)
-        rise = lam1(_PEAK[0]) - lam1(_PEAK[1])
-        verdicts.append(
-            Verdict(
-                "maximality-at-half-flux",
-                bool(abs(t_max - _PEAK[0]) < 1e-12 and rise > 0),
-                f"argmax of lambda1 over the sweep at flux {t_max}; "
-                f"lambda1(0.5)-lambda1(0.45) = {rise:.3e}",
-            )
-        )
+        verdicts.append(Verdict("maximality-at-half-flux", "lambda1 over the sweep peaks at flux 1/2", (
+            Check("|argmax flux - 1/2|", abs(t_max - _PEAK[0]), "<", 1e-12),
+            Check(f"lambda1({_PEAK[0]}) - lambda1({_PEAK[1]})", lam1(_PEAK[0]) - lam1(_PEAK[1]), ">", 0.0),
+        )))
 
     if out_dir:
         header = [f"flux{i + 1}" for i in range(grid.k)] + [
@@ -375,7 +391,7 @@ def run_circle_check(cfg: ExperimentConfig, out_dir=None):
     h = 2.0 * np.pi / n
     rows, verdicts = [], []
     worst_rel, worst_alpha = 0.0, None
-    deg_flags_ok = True
+    wrong_flags = 0
     for alpha in cfg.circle.alphas:
         H = assemble_circle(n, alpha)
         r = lowest_eigenpairs(H, 3, tol=s.tol, seed=s.seed)
@@ -384,42 +400,24 @@ def run_circle_check(cfg: ExperimentConfig, out_dir=None):
         rel = abs(lam[0] - exact) / max(abs(exact), 1e-6)
         mult = multiplicity_estimate(lam, 1e-6)
         is_half = abs(alpha - np.floor(alpha) - 0.5) < 1e-12
-        if (mult == 2) != is_half:
-            deg_flags_ok = False
+        wrong_flags += (mult == 2) != is_half
         if rel > worst_rel:
             worst_rel, worst_alpha = rel, alpha
         rows.append((alpha, float(lam[0]), float(lam[1]), float(lam[2]), exact, float(rel), mult))
-    cfit = worst_rel / h**2
-    verdicts.append(
-        Verdict(
-            "circle-exact-spectrum",
-            worst_rel <= 5e-4,
-            f"lambda1 matches min over integers of (m-alpha)^2: worst relative error "
-            f"{worst_rel:.3e} at alpha={worst_alpha} (tol 5e-4); fitted error constant "
-            f"C = {cfit:.3f} per h^2",
-        )
-    )
-    verdicts.append(
-        Verdict(
-            "circle-degeneracy-at-half-flux",
-            deg_flags_ok,
-            "ground multiplicity 2 exactly at half-integer alpha, 1 elsewhere",
-        )
-    )
+    claim = (f"lambda1 matches min over integers of (m-alpha)^2, worst at alpha={worst_alpha}, "
+             f"fitted error constant C = {worst_rel / h**2:.3f} per h^2")
+    verdicts.append(Verdict("circle-exact-spectrum", claim, (Check("worst relative error", worst_rel, "<=", 5e-4),)))
+    verdicts.append(Verdict("circle-degeneracy-at-half-flux",
+                            "ground multiplicity 2 exactly at half-integer alpha, 1 elsewhere",
+                            (Check("alphas flagged wrongly", wrong_flags, "==", 0),)))
 
     eps = cfg.circle.epsilon
     phi = np.arange(n) * h
     Hp = assemble_circle(n, 0.5, V=eps * np.cos(phi))
     rp = lowest_eigenpairs(Hp, 3, tol=s.tol, seed=s.seed)
     split = float(rp.eigenvalues[1] - rp.eigenvalues[0])
-    verdicts.append(
-        Verdict(
-            "circle-degeneracy-splitting",
-            split >= 1e-4,
-            f"perturbation eps*cos(phi), eps={eps}: gap lambda2-lambda1 = {split:.3e} "
-            f"(needs >= 1e-4)",
-        )
-    )
+    verdicts.append(Verdict("circle-degeneracy-splitting", f"perturbation eps*cos(phi), eps={eps}, splits the pair",
+                            (Check("gap lambda2-lambda1", split, ">=", 1e-4),)))
     rows.append((0.5, float(rp.eigenvalues[0]), float(rp.eigenvalues[1]), float(rp.eigenvalues[2]), np.nan, np.nan, multiplicity_estimate(rp.eigenvalues, 1e-6)))
 
     if out_dir:
@@ -512,23 +510,14 @@ def run_slit_infimum(cfg: ExperimentConfig, lattice: Lattice, out_dir=None, refi
     """
     require_one_hole(cfg, "slit")
     lam_mag, rows = _slit_minimum(cfg, lattice)
-    lams = np.array([r[2] for r in rows])
-    lam_min = float(lams.min())
+    lam_min = float(np.array([r[2] for r in rows]).min())
     gap = lam_min - lam_mag
-    rel_gap = abs(gap) / lam_mag
     verdicts = [
-        Verdict(
-            "slit-lower-bound",
-            bool(np.all(lams >= lam_mag * (1.0 - 2e-2))),
-            f"every slit-pinned lambda1 >= half-flux lambda1 (2e-2 slack): "
-            f"min slack {float((lams / lam_mag - 1.0).min()):.3e}",
-        ),
-        Verdict(
-            "slit-infimum-tightness",
-            rel_gap <= 2e-2,
-            f"min over {len(rows)} slits = {lam_min!r} vs half-flux lambda1 = {lam_mag!r}: "
-            f"relative gap {rel_gap:.3e} (tol 2e-2)",
-        ),
+        Verdict("slit-lower-bound", "every slit-pinned lambda1 >= half-flux lambda1, less a relative slack",
+                (Check("min slit-pinned lambda1", lam_min, ">=", lam_mag * (1.0 - 2e-2)),)),
+        Verdict("slit-infimum-tightness",
+                f"min over {len(rows)} slits = {lam_min!r} meets half-flux lambda1 = {lam_mag!r}",
+                (Check("relative gap", abs(gap) / lam_mag, "<=", 2e-2),)),
     ]
     if refine:
         fine = DomainSpec(
@@ -541,25 +530,12 @@ def run_slit_infimum(cfg: ExperimentConfig, lattice: Lattice, out_dir=None, refi
         # exact, leaving only solver noise to "shrink"; below the floor the
         # two-grid ratio is vacuous
         floor = 1e-8 * lam_mag
-        if abs(gap) <= floor and abs(gap2) <= floor:
-            verdicts.append(
-                Verdict(
-                    "slit-gap-refinement",
-                    True,
-                    f"gaps {gap:.3e} -> {gap2:.3e} both below the solver noise floor "
-                    f"{floor:.3e}: identity already exact at the coarse grid",
-                )
-            )
+        if abs(gap2) <= floor:
+            check = Check("|gap at h/2| against the solver noise floor", abs(gap2), "<=", floor)
         else:
-            ratio = abs(gap2) / abs(gap)
-            verdicts.append(
-                Verdict(
-                    "slit-gap-refinement",
-                    ratio <= 0.5 or abs(gap2) <= floor,
-                    f"gap at h/2 over gap at h = {ratio:.3f} (needs <= 0.5); "
-                    f"gaps {gap:.3e} -> {gap2:.3e}",
-                )
-            )
+            check = Check("gap at h/2 over gap at h", abs(gap2) / abs(gap), "<=", 0.5)
+        claim = f"the slit gap shrinks with h, from {gap:.3e} at h to {gap2:.3e} at h/2"
+        verdicts.append(Verdict("slit-gap-refinement", claim, (check,)))
     if out_dir:
         write_csv(
             os.path.join(out_dir, "slit.csv"),
@@ -728,16 +704,12 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
     width = s.cluster_tol * (1.0 + abs(r.eigenvalues[0]))
     gap_above = float(r.eigenvalues[mult] - r.eigenvalues[mult - 1]) if mult < len(r.eigenvalues) else np.nan
     symmetric = _centrally_symmetric(lattice)
-    want = 2 if symmetric else 1
-    verdicts.append(
-        Verdict(
-            "half-flux-ground-multiplicity",
-            mult == want and gap_above >= 10 * width,
-            f"half-flux ground multiplicity {mult} (want {want}: the lattice symmetries "
-            f"that keep V {'include' if symmetric else 'exclude'} the point reflection), "
-            f"next gap {gap_above:.3e} >= 10x cluster width {width:.3e}",
-        )
-    )
+    claim = (f"the half-flux ground state is a pair iff the lattice symmetries that keep V include the point "
+             f"reflection (they {'do' if symmetric else 'do not'}), with a wide gap above it")
+    verdicts.append(Verdict("half-flux-ground-multiplicity", claim, (
+        Check("multiplicity", mult, "==", 2 if symmetric else 1),
+        Check("next gap", gap_above, ">=", 10 * width),
+    )))
 
     mu = cfg.multiplicity
     bump_center = (mu.bump_radius * np.cos(mu.bump_angle), mu.bump_radius * np.sin(mu.bump_angle))
@@ -745,14 +717,10 @@ def run_multiplicity_experiment(cfg: ExperimentConfig, lattice: Lattice, out_dir
     rb, multb = _half_flux_ground(cfg, Lattice(grid, Vb), cover)
     nod = extract_nodal_set(rb.eigenvectors[:, 0], cover, grid)
     report = topology_report(nod, grid)
-    verdicts.append(
-        Verdict(
-            "asymmetric-simple-ground-state",
-            multb == 1 and report.passes_slitting,
-            f"with a symmetry-breaking bump: multiplicity {multb} (want 1), "
-            f"nodal set still slits: {report.passes_slitting}",
-        )
-    )
+    verdicts.append(Verdict("asymmetric-simple-ground-state",
+                            "with a symmetry-breaking bump the ground state is simple and its nodal set still slits",
+                            (Check("multiplicity", multb, "==", 1),
+                             Check("nodal sets that do not slit", int(not report.passes_slitting), "==", 0))))
     if out_dir:
         write_csv(
             os.path.join(out_dir, "multiplicity.csv"),
@@ -796,14 +764,9 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
     dev_dom = spectra_close(ra.eigenvalues, r.eigenvalues)
     rows.append(("domain-antisymmetric",) + tuple(float(x) for x in ra.eigenvalues))
     rows.append(("domain-magnetic",) + tuple(float(x) for x in r.eigenvalues))
-    verdicts.append(
-        Verdict(
-            "antisymmetric-spectrum-equality",
-            max(dev_circle, dev_dom) <= 1e-8,
-            f"lowest 3 antisymmetric cover eigenvalues match the magnetic ones: "
-            f"max relative deviation {max(dev_circle, dev_dom):.3e} (tol 1e-8)",
-        )
-    )
+    verdicts.append(Verdict("antisymmetric-spectrum-equality",
+                            "lowest 3 antisymmetric cover eigenvalues match the magnetic ones",
+                            (Check("max relative deviation", max(dev_circle, dev_dom), "<=", 1e-8),)))
 
     H0 = assemble_magnetic(grid, zero_field(grid), V=V)
     r0 = lowest_eigenpairs(H0, 3, tol=s.tol, seed=s.seed)
@@ -812,14 +775,9 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
     Hl = assemble_lifted(cov, V=V)
     P = sparse.vstack([sparse.identity(grid.n_vertices, format="csr")] * 2)
     defect = float(abs(0.5 * (P.T @ Hl.matrix @ P) - H0.matrix).max())
-    verdicts.append(
-        Verdict(
-            "symmetric-spectrum-equality",
-            defect == 0.0,
-            f"the symmetric cover sector equals the zero-flux operator entry for entry, "
-            f"so their spectra match: max entry difference {defect:.3e} (want 0)",
-        )
-    )
+    verdicts.append(Verdict("symmetric-spectrum-equality",
+                            "the symmetric cover sector equals the zero-flux operator entry for entry, "
+                            "so their spectra match", (Check("max entry difference", defect, "==", 0.0),)))
 
     theta = build_theta(cov)
     worst = 0.0
@@ -827,13 +785,10 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
         lu = lift_to_cover(r.eigenvectors[:, j], theta)
         worst = max(worst, float(np.linalg.norm(Hl.matrix @ lu - r.eigenvalues[j] * lu)))
     budget = 10 * s.tol * max(map(abs, gershgorin_bounds(Hl.matrix)))
-    verdicts.append(
-        Verdict(
-            "lift-intertwines-eigenpairs",
-            worst <= budget,
-            f"max lifted eigen-residual {worst:.3e} <= 10 * tol * norm = {budget:.3e}",
-        )
-    )
+    verdicts.append(Verdict("lift-intertwines-eigenpairs",
+                            "the lifts of the lowest 3 magnetic eigenpairs are eigenpairs of the lifted operator "
+                            "within the solver's residual budget",
+                            (Check("max lifted eigen-residual", worst, "<=", budget),)))
 
     K = ConjugationOperator(cov)
     norm = max(map(abs, gershgorin_bounds(H.matrix)))
@@ -844,14 +799,10 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
         u /= np.linalg.norm(u)
         worst_sq = max(worst_sq, float(np.linalg.norm(K(K(u)) - u)))
         worst_comm = max(worst_comm, float(np.linalg.norm(H.matrix @ K(u) - K(H.matrix @ u)) / norm))
-    verdicts.append(
-        Verdict(
-            "conjugation-algebra",
-            worst_sq <= 1e-12 and worst_comm <= 1e-10,
-            f"K^2 = 1 and [K, H] = 0 on 20 random unit vectors: max ||K^2 u - u|| = {worst_sq:.3e} "
-            f"(tol 1e-12), max ||[K, H] u|| / norm = {worst_comm:.3e} (tol 1e-10)",
-        )
-    )
+    verdicts.append(Verdict("conjugation-algebra", "K^2 = 1 and [K, H] = 0 on 20 random unit vectors", (
+        Check("max ||K^2 u - u||", worst_sq, "<=", 1e-12),
+        Check("max ||[K, H] u|| / norm", worst_comm, "<=", 1e-10),
+    )))
 
     # integer flux: the cover is two disconnected copies of the base
     field0 = aharonov_bohm_potential(grid, [0.0] * grid.k)
@@ -859,14 +810,11 @@ def run_cover_equivalence(cfg: ExperimentConfig, lattice: Lattice, out_dir=None)
     rl0 = lowest_eigenpairs(assemble_lifted(cov0, V=V), 4, tol=s.tol, seed=s.seed)
     doubled = np.repeat(r0.eigenvalues[:2], 2)
     dev_triv = float(np.max(np.abs(rl0.eigenvalues - doubled) / (1.0 + np.abs(doubled))))
-    verdicts.append(
-        Verdict(
-            "trivial-cover-doubling",
-            cov0.is_trivial and dev_triv <= 1e-8,
-            f"integer flux gives a disconnected cover whose spectrum doubles the base: "
-            f"max relative deviation {dev_triv:.3e}",
-        )
-    )
+    verdicts.append(Verdict("trivial-cover-doubling",
+                            "integer flux gives a disconnected cover whose spectrum doubles the base", (
+                                Check("cut edges", int(cov0.cuts.sum()), "==", 0),
+                                Check("max relative deviation", dev_triv, "<=", 1e-8),
+                            )))
     if out_dir:
         write_csv(
             os.path.join(out_dir, "cover.csv"),
@@ -884,56 +832,32 @@ def run_nodal(cfg: ExperimentConfig, lattice: Lattice, out_dir=None):
     cov = _half_flux_cover(grid)
     r, mult = _half_flux_ground(cfg, lattice, cov)
 
-    verdicts = []
-    reports = []
-    nodal_sets = []
-    all_pass = True
-    equiv_ok = True
     ground = r.eigenvectors[:, :mult].T
-    for u in ground:
-        nod = extract_nodal_set(u, cov, grid)
-        rep = topology_report(nod, grid)
-        reports.append(rep)
-        nodal_sets.append(nod)
-        all_pass = all_pass and rep.passes_slitting and rep.bounds_ok and rep.cover_domain_count == 2
-        equiv_ok = equiv_ok and (rep.passes_slitting == (rep.cover_domain_count == 2))
-    verdicts.append(
-        Verdict(
-            "nodal-slitting",
-            bool(all_pass),
-            f"{mult} ground representative(s): every nodal set has connected "
-            f"complement, odd parity at interior components, k/2 <= n <= k lines, and "
-            f"splits the cover into two domains",
-        )
-    )
-    verdicts.append(
-        Verdict(
-            "cover-two-domain-equivalence",
-            bool(equiv_ok),
-            "slitting report passes iff the lifted complement has exactly two components",
-        )
-    )
-    verdicts.append(
-        Verdict(
-            "ground-multiplicity-bound",
-            mult <= grid.k + 1,
-            f"half-flux ground multiplicity {mult} <= k + 1 = {grid.k + 1}",
-        )
-    )
+    nodal_sets = [extract_nodal_set(u, cov, grid) for u in ground]
+    reports = [topology_report(nod, grid) for nod in nodal_sets]
+    failing = sum(not (rep.passes_slitting and rep.bounds_ok and rep.cover_domain_count == 2) for rep in reports)
+    differing = sum(rep.passes_slitting != (rep.cover_domain_count == 2) for rep in reports)
+    verdicts = [
+        Verdict("nodal-slitting",
+                f"{mult} ground representative(s): every nodal set has connected complement, odd parity at "
+                f"interior components, k/2 <= n <= k lines, and splits the cover into two domains",
+                (Check("failing representatives", failing, "==", 0),)),
+        Verdict("cover-two-domain-equivalence",
+                "slitting report passes iff the lifted complement has exactly two components",
+                (Check("representatives where they differ", differing, "==", 0),)),
+        Verdict("ground-multiplicity-bound", "the half-flux ground multiplicity is at most k + 1",
+                (Check("multiplicity", mult, "<=", grid.k + 1),)),
+    ]
     if mult == 2:
         # a degenerate pair: disjoint nodal sets, and u2 vanishes nowhere
         # on the nodal set of u1
         shared = len(nodal_sets[0].crossed_cells & nodal_sets[1].crossed_cells)
         at = values_at_crossings(ground[1], nodal_sets[0])
         floor = float(np.min(np.abs(at)) / np.max(np.abs(ground[1])))
-        verdicts.append(
-            Verdict(
-                "degenerate-pair-disjoint",
-                shared == 0 and floor > 1e-6,
-                f"the two ground representatives share {shared} crossed cells (want 0); "
-                f"min |u2| on the crossings of u1 = {floor:.3e} of its max (needs > 1e-6)",
-            )
-        )
+        verdicts.append(Verdict("degenerate-pair-disjoint", "the two ground representatives have disjoint nodal sets", (
+            Check("shared crossed cells", shared, "==", 0),
+            Check("min |u2| on the crossings of u1 over its max", floor, ">", 1e-6),
+        )))
     if out_dir:
         nodal_svg(cfg.domain, nodal_sets, os.path.join(out_dir, "nodal.svg"))
         for j, nod in enumerate(nodal_sets):

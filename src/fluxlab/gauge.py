@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, MissingEdge
-from .geometry import GridDomain, LatticeLoop, full_cells, wrap_angle
+from .geometry import GridDomain, LatticeLoop, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,3 @@ def gauge_transform(field: LinkField, chi) -> LinkField:
         raise LengthMismatch("chi must be defined on every active vertex")
     tails, heads = field.grid.edges[:, 0], field.grid.edges[:, 1]
     return LinkField(grid=field.grid, theta=field.theta + chi[heads] - chi[tails])
-
-
-def plaquette_sums(field: LinkField) -> np.ndarray:
-    """Oriented phase sum around every fully active plaquette.
-
-    Cells come in lexicographic window order; each sum runs anticlockwise
-    from the lower-left corner: +x bottom, +y right, -x top, -y left.
-    """
-    grid = field.grid
-    ca, cb = np.nonzero(full_cells(grid._active))
-    ex, ey = grid._edge_raster
-    th = field.theta
-    return th[ex[ca, cb]] + th[ey[ca + 1, cb]] - th[ex[ca, cb + 1]] - th[ey[ca, cb]]

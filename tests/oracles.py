@@ -5,8 +5,9 @@ magnetic eigenspace; their real cover lifts are what the real half-flux
 block must reproduce.  Beside it: the reflection lift of the half-flux
 block read off a two-sheet graph, the mixed cells of marching squares read
 off corner stacks over the whole index window, the zeros of a real
-antisymmetric function on the circle cover, the integer flux shift of a
-link field, and the Hermiticity defect of an assembled operator.
+antisymmetric function on the circle cover, the plaquette sums of a link
+field, the integer flux shift of a link field, and the Hermiticity defect
+of an assembled operator.
 """
 
 import numpy as np
@@ -155,6 +156,19 @@ def circle_zero_points(f, cover: fl.CoverGraph) -> np.ndarray:
         if a - keep[-1] > 1e-9 and (2 * np.pi - (a - keep[0])) > 1e-9:
             keep.append(a)
     return np.array(keep)
+
+
+def plaquette_sums(field: fl.LinkField) -> np.ndarray:
+    """Oriented phase sum around every fully active plaquette.
+
+    Cells come in lexicographic window order; each sum runs anticlockwise
+    from the lower-left corner: +x bottom, +y right, -x top, -y left.
+    """
+    grid = field.grid
+    ca, cb = np.nonzero(full_cells(grid._active))
+    ex, ey = grid._edge_raster
+    th = field.theta
+    return th[ex[ca, cb]] + th[ey[ca + 1, cb]] - th[ex[ca, cb + 1]] - th[ey[ca, cb]]
 
 
 def integer_flux_shift(grid, field: fl.LinkField, l) -> fl.LinkField:

@@ -25,7 +25,9 @@ from fluxlab.experiments import (
     _FLIP_PAIRS,
     _PEAK,
     _SHIFT_PAIRS,
+    Check,
     Lattice,
+    Verdict,
     _fan_out,
     _flux_class,
     _half_flux_cover,
@@ -385,12 +387,14 @@ def test_sweep_cache_keeps_no_eigenvectors(coarse_cfg, monkeypatch):
     # workers send back eigenvalues and residuals only, also as the best
     # result of a flux that did not converge
     lattice = discretize(coarse_cfg)
-    stall_eigsh_at(monkeypatch, lattice.grid, 0.25)
     usable_cpus(monkeypatch, 2)
-    spectra = _sweep_spectra(coarse_cfg, lattice, [0.0, 0.25, 0.5, 0.5 + 1e-13])
-    assert list(spectra) == [0.0, 0.25, 0.5]  # keys rounded to 12 digits
-    assert isinstance(spectra[0.25], NoConvergence)
-    for r in (spectra[0.0], spectra[0.5], spectra[0.25].best_result):
+    spectra = _sweep_spectra(coarse_cfg, lattice, [0.0, 0.5, 0.5 + 1e-13])
+    assert list(spectra) == [0.0, 0.5]  # keys rounded to 12 digits
+    stall_eigsh_at(monkeypatch, lattice.grid, 0.25)
+    with pytest.raises(NoConvergence) as exc:
+        _sweep_spectra(coarse_cfg, lattice, [0.0, 0.25, 0.5])
+    assert_no_children()
+    for r in (spectra[0.0], spectra[0.5], exc.value.best_result):
         assert r._fields == ("eigenvalues", "residuals")
         assert r.eigenvalues.shape == r.residuals.shape == (coarse_cfg.solver.count,)
 
@@ -558,7 +562,7 @@ def test_multiplicity_off_center_hole_wants_simple_ground(tmp_path):
     cfg = load_config(p)
     verdicts = run_multiplicity_experiment(cfg, discretize(cfg))
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
-    assert "multiplicity 1 (want 1" in verdicts[0].detail
+    assert verdicts[0].checks[0] == ("multiplicity", 1, "==", 1)
 
 
 def test_multiplicity_potential_breaking_the_symmetry_wants_simple_ground(tmp_path):
@@ -572,7 +576,7 @@ def test_multiplicity_potential_breaking_the_symmetry_wants_simple_ground(tmp_pa
     cfg = load_config(p)
     verdicts = run_multiplicity_experiment(cfg, discretize(cfg))
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
-    assert "multiplicity 1 (want 1" in verdicts[0].detail
+    assert verdicts[0].checks[0] == ("multiplicity", 1, "==", 1)
 
 
 def test_cover_equivalence(coarse_cfg, tmp_path):
@@ -630,6 +634,20 @@ def test_nodal_files_do_not_depend_on_the_solvers_sign(tmp_path, monkeypatch):
     assert files[0] == files[1]
 
 
+def test_verdict_passes_iff_every_check_holds():
+    # a nan meets no bound, whatever the comparison
+    for op in ("<=", ">=", "<", ">", "=="):
+        assert not Check("x", np.nan, op, 1.0).holds()
+        assert not Verdict("v", "claim", (Check("y", 0, "==", 0), Check("x", np.nan, op, 1.0))).passed
+    checks = (Check("count", 0, "==", 0), Check("gap", 0.25, ">=", 1e-4), Check("dev", 3e-14, "<=", 1e-10))
+    v = Verdict("v", "a claim", checks)
+    assert v.passed
+    assert v.line() == "PASS v | a claim: count 0 (== 0), gap 0.25 (>= 0.0001), dev 3e-14 (<= 1e-10)"
+    v = Verdict("v", "a claim", checks[:2] + (Check("dev", 2e-10, "<=", 1e-10),))
+    assert not v.passed
+    assert v.line() == "FAIL v | a claim: count 0 (== 0), gap 0.25 (>= 0.0001), dev 2e-10 (<= 1e-10)"
+
+
 def test_collinear_pair_fails_both_halves_of_disjointness(coarse_cfg, monkeypatch):
     # u2 := u1: the pair shares every crossed cell, and u2 vanishes on u1's crossings
     ground = fl.experiments._half_flux_ground
@@ -643,10 +661,9 @@ def test_collinear_pair_fails_both_halves_of_disjointness(coarse_cfg, monkeypatc
     monkeypatch.setattr(fl.experiments, "_half_flux_ground", collinear)
     _, verdicts = run_nodal(coarse_cfg, discretize(coarse_cfg))
     (v,) = [v for v in verdicts if v.name == "degenerate-pair-disjoint"]
-    assert not v.passed
-    shared = int(re.search(r"share (\d+) crossed cells", v.detail).group(1))
-    floor = float(re.search(r"crossings of u1 = (\S+) of its max", v.detail).group(1))
-    assert shared > 0 and floor <= 1e-6, v.detail
+    shared, floor = v.checks
+    assert not v.passed and not shared.holds() and not floor.holds()
+    assert shared.value > 0 and floor.value <= 1e-6, v.line()
 
 
 def test_cli_pass_and_outputs(tmp_path):
@@ -797,6 +814,25 @@ def test_cli_sweep_that_cannot_decide_its_claims_exits_2(tmp_path, monkeypatch, 
     assert builds == [] and not (out / "verdicts.txt").exists()
 
 
+def test_cli_domain_without_a_hole_exits_2(tmp_path, monkeypatch, capsys):
+    # every claim but the circle's is about a domain with holes: on a disk the
+    # sweep printed FAIL strict-minimum-at-zero-flux, and nodal, cover and all
+    # stopped with exit 1
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("[domain]\nouter = disk 0 0 1\nspacing = 0.1\n")
+    cfg = load_config(cfgp)
+    with pytest.raises(ConfigError, match="no hole"):
+        discretize(cfg)
+    builds = []
+    monkeypatch.setattr(fl.experiments, "build_grid", lambda spec: builds.append(spec))
+    for command in ("sweep", "cover", "nodal", "all"):
+        out = tmp_path / command
+        assert cli_main([command, "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "no hole" in capsys.readouterr().err
+        assert builds == [] and not (out / "verdicts.txt").exists()
+    assert cli_main(["circle", "--config", str(cfgp), "--out", str(tmp_path / "circle")]) == 0
+
+
 def test_two_hole_sweep_needs_no_half_flux(tmp_path, coarse_cfg):
     # maximality is a one-hole claim: two holes may sweep 0..0.3, one may not
     cfgp = tmp_path / "c.cfg"
@@ -875,6 +911,8 @@ def test_cli_all_coarse(tmp_path):
             "nodal.svg", "verdicts.txt"} <= produced
     text = (out / "verdicts.txt").read_text()
     assert text.count("PASS") >= 14 and "FAIL" not in text
+    # every number is printed next to its bound
+    assert all(re.search(r"\((<=|>=|<|>|==) \S+\)$", line) for line in text.splitlines()), text
 
 
 def test_cli_all_builds_the_grid_once(tmp_path, monkeypatch):

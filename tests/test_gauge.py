@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import fluxlab as fl
 from fluxlab.eigensolver import gershgorin_bounds
 from fluxlab.errors import LengthMismatch, MissingEdge
-from fluxlab.gauge import plaquette_sums
-from oracles import integer_flux_shift
+from oracles import integer_flux_shift, plaquette_sums
 from test_geometry import small_domains
 
 FLUX = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
