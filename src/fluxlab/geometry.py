@@ -153,7 +153,6 @@ class LatticeLoop:
     """Closed path of directed lattice edges, (tail, head) vertex indices."""
 
     edges: tuple
-    orientation: int = 1
 
     def __post_init__(self):
         for (_, h0), (t1, _) in zip(self.edges, self.edges[1:]):
@@ -185,7 +184,8 @@ class GridDomain:
     # internal rasters on the padded index window
     _window: tuple = field(repr=False, default=None)       # (i0, j0, ni, nj)
     _active: np.ndarray = field(repr=False, default=None)  # (ni, nj) bool
-    _excl: np.ndarray = field(repr=False, default=None)    # (ni, nj) region label
+    # (ni, nj) int16: -1 on active points, 0 outside the outer shape, i in hole i
+    _excl: np.ndarray = field(repr=False, default=None)
     _vid: np.ndarray = field(repr=False, default=None)     # (ni, nj) vertex id or -1
     # (2, ni, nj) id of the +x (plane 0) and +y (plane 1) edge leaving each
     # window point, -1 where there is none
@@ -220,16 +220,6 @@ class GridDomain:
         sign = 1 if di + dj > 0 else -1
         a, b = self.ij[v if sign > 0 else w] - self._window[:2]
         return int(self._edge_raster[abs(dj), a, b]), sign
-
-    def neighbors(self, v):
-        i, j = self.ij[v]
-        i0, j0, ni, nj = self._window
-        out = []
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i - i0 + di, j - j0 + dj
-            if 0 <= a < ni and 0 <= b < nj and self._vid[a, b] >= 0:
-                out.append(self._vid[a, b])
-        return out
 
     def boundary_vertices(self, component=None):
         mask = self.boundary_labels >= 0
@@ -297,21 +287,6 @@ def link_components(ahead):
     return connected_components(g, directed=False)
 
 
-def label_components(mask, diagonal=False):
-    """(labels, count) of the connected components of a boolean raster.
-
-    Cells are 4-neighbours, or 8-neighbours with diagonal=True.  Labels run
-    from 1 in raster order of each component's first cell, and cells outside
-    the mask read 0: the numbering of scipy.ndimage.label, whose import would
-    also load scipy.special.
-    """
-    steps = ((1, 0), (0, 1)) + (((1, 1), (1, -1)) if diagonal else ())
-    count, lab = link_components(raster_links(mask, steps))
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    labels[mask] = lab + 1
-    return labels, int(count)
-
-
 def full_cells(mask):
     """The (ni - 1, nj - 1) raster of lattice cells whose four corners all lie in mask."""
     return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
@@ -347,45 +322,27 @@ def build_grid(spec: DomainSpec) -> GridDomain:
     # by broadcasting, with no window-sized coordinate rasters
     xx = (np.arange(i0, i1 + 1) * h)[:, None]
     yy = (np.arange(j0, j1 + 1) * h)[None, :]
+    inside = [hole.contains(xx, yy, closed=False) for hole in spec.holes]
     active = spec.outer.contains(xx, yy, closed=True)
-    for hole in spec.holes:
-        active &= ~hole.contains(xx, yy, closed=False)
+    for m in inside:
+        active &= ~m
 
     if not active.any():
         raise SpecTooCoarse("no lattice point falls inside the domain")
 
     # connectivity of the active set (4-neighbor)
-    _, nlab = label_components(active)
+    nlab, _ = link_components(raster_links(active, ((1, 0), (0, 1))))
     if nlab != 1:
         raise DisconnectedDomain(f"active set splits into {nlab} components")
 
-    # label excluded regions with 8-connectivity; the region containing the
-    # padded border is the outer region (label 0)
-    excl_lab, n_excl = label_components(~active, diagonal=True)
-    excl = np.full((ni, nj), -1, dtype=np.int16)
-    outer_region = excl_lab[0, 0]
-    region_of_hole = {}
-    for r in range(1, n_excl + 1):
-        if r == outer_region:
-            excl[excl_lab == r] = 0
-            continue
-        a, b = np.argwhere(excl_lab == r)[0]
-        x, y = (a + i0) * h, (b + j0) * h
-        for idx, hole in enumerate(spec.holes):
-            if hole.contains(x, y, closed=True):
-                if idx in region_of_hole:
-                    raise SpecTooCoarse(f"hole {idx + 1} resolves to several regions")
-                region_of_hole[idx] = r
-                excl[excl_lab == r] = idx + 1
-                break
-        else:
-            raise SpecTooCoarse("an excluded region matches no hole")
-    if len(region_of_hole) != spec.k:
-        raise SpecTooCoarse("a hole contains no excluded lattice point")
-
-    # every hole must contain at least one fully excluded cell
-    for idx in range(spec.k):
-        if not full_cells(excl == idx + 1).any():
+    # an excluded point belongs to the boundary component of the shape that
+    # holds it: validate keeps each hole 3h inside the outer shape and 3h
+    # from the others, so no two shapes hold neighbouring points
+    excl = np.negative(active, dtype=np.int16)
+    for idx, m in enumerate(inside):
+        excl[m] = idx + 1
+        # every hole must contain at least one fully excluded cell
+        if not full_cells(m).any():
             raise SpecTooCoarse(f"hole {idx + 1} contains no fully excluded cell")
 
     # vertex table in lexicographic (i, j) order; the rasters hold int32 ids
@@ -528,7 +485,7 @@ def hole_loop(grid: GridDomain, i: int) -> LatticeLoop:
     if any(v < 0 for v in vids):
         raise SpecTooCoarse(f"loop around hole {i} leaves the active set")
     loop_edges = tuple((vids[t], vids[(t + 1) % len(vids)]) for t in range(len(vids)))
-    loop = LatticeLoop(edges=loop_edges, orientation=1)
+    loop = LatticeLoop(edges=loop_edges)
 
     pts = grid.xy[vids]
     for j, ref in enumerate(grid.hole_refs):

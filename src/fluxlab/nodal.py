@@ -20,7 +20,7 @@ from scipy import sparse
 
 from .cover import CoverGraph
 from .errors import NoSignChange
-from .geometry import GridDomain, full_cells, label_components, link_components, raster_links
+from .geometry import GridDomain, full_cells, link_components, raster_links
 
 
 @dataclass
@@ -326,10 +326,11 @@ def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:
     for a, b in nodal.crossed_cells:
         if 0 <= a < free.shape[0] and 0 <= b < free.shape[1]:
             free[a, b] = False
-    _, n_comp = label_components(free)
+    ahead = raster_links(free, ((1, 0), (0, 1)))
+    n_comp, _ = link_components(ahead)
     complement_connected = n_comp == 1
 
-    cover_domain_count = _cover_components(nodal, grid, free)
+    cover_domain_count = _cover_components(nodal, grid, free, ahead)
 
     n_lines = nodal.n_open
     parity_ok = unclassified == 0 and all(counts[c] % 2 == 1 for c in range(1, k + 1))
@@ -346,10 +347,11 @@ def topology_report(nodal: NodalSet, grid: GridDomain) -> SlitReport:
     )
 
 
-def _cover_components(nodal: NodalSet, grid: GridDomain, free) -> int:
+def _cover_components(nodal: NodalSet, grid: GridDomain, free, ahead) -> int:
     """Components of the lifted free cells; sheets propagate through cut bits.
 
-    Node (v, s) is free cell v on sheet s.  A link between free cells keeps
+    Node (v, s) is free cell v on sheet s, and ahead is
+    raster_links(free, ((1, 0), (0, 1))).  A link between free cells keeps
     the sheet, or changes it where it steps across a cut edge: cx[a, b]
     links (a, b) to (a + 1, b), cy[a, b] links (a, b) to (a, b + 1).  The
     links that keep the sheet join the free cells into pieces, each of which
@@ -358,7 +360,6 @@ def _cover_components(nodal: NodalSet, grid: GridDomain, free) -> int:
     """
     from scipy.sparse.csgraph import connected_components  # see geometry.link_components
 
-    ahead = raster_links(free, ((1, 0), (0, 1)))
     if ahead.shape[0] == 0:
         return 0
     cx, cy = _cut_rasters(grid, nodal.cover)

@@ -6,8 +6,10 @@ block must reproduce.  Beside it: the reflection lift of the half-flux
 block read off a two-sheet graph, the mixed cells of marching squares read
 off corner stacks over the whole index window, the zeros of a real
 antisymmetric function on the circle cover, the plaquette sums of a link
-field, the integer flux shift of a link field, and the Hermiticity defect
-of an assembled operator.
+field, the integer flux shift of a link field, the Hermiticity defect of
+an assembled operator, the lattice neighbours of a vertex, and the
+boundary components read off the 8-neighbour regions of the excluded
+lattice points.
 """
 
 import numpy as np
@@ -189,3 +191,49 @@ def hermiticity_defect(A) -> float:
     """Largest entry of A - A^* for a sparse matrix A."""
     d = A - A.getH()
     return float(np.max(np.abs(d.data))) if d.nnz else 0.0
+
+
+def neighbors(grid: fl.GridDomain, v) -> list:
+    """Active 4-neighbours of vertex v, in +x, -x, +y, -y order."""
+    i, j = grid.ij[v]
+    i0, j0, ni, nj = grid._window
+    out = []
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        a, b = i - i0 + di, j - j0 + dj
+        if 0 <= a < ni and 0 <= b < nj and grid._vid[a, b] >= 0:
+            out.append(grid._vid[a, b])
+    return out
+
+
+def excluded_regions(grid: fl.GridDomain):
+    """(excl, boundary_labels) from the 8-neighbour components of the
+    excluded lattice points.
+
+    The region holding the window's corner is the outer boundary, 0; every
+    other region is hole i, the one whose closed shape holds its first point,
+    and each hole must get exactly one region.  An active vertex takes the
+    region of its excluded 4-neighbours, which must agree.
+    """
+    from scipy import ndimage
+
+    i0, j0, ni, nj = grid._window
+    h = grid.spacing
+    regions, count = ndimage.label(~grid._active, structure=np.ones((3, 3), dtype=bool))
+    excl = np.full((ni, nj), -1, dtype=np.int16)
+    matched = []
+    for r in range(1, count + 1):
+        region = regions == r
+        if r == regions[0, 0]:
+            excl[region] = 0
+            continue
+        a, b = np.argwhere(region)[0]
+        (idx,) = [i for i, hole in enumerate(grid.spec.holes) if hole.contains((a + i0) * h, (b + j0) * h)]
+        matched.append(idx)
+        excl[region] = idx + 1
+    assert sorted(matched) == list(range(grid.k))
+    labels = np.full(grid.n_vertices, -1, dtype=np.int16)
+    for v, (a, b) in enumerate(grid.ij - (i0, j0)):
+        touched = {int(excl[a + da, b + db]) for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1))} - {-1}
+        assert len(touched) <= 1
+        labels[v] = touched.pop() if touched else -1
+    return excl, labels

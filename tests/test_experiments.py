@@ -4,6 +4,7 @@ the half-flux sectors and CLI exit codes."""
 import contextlib
 import dataclasses
 import io
+import math
 import multiprocessing
 import os
 import re
@@ -416,6 +417,18 @@ def test_slit_infimum(coarse_cfg, tmp_path):
     }
 
 
+def test_slit_refinement_fails_on_a_zero_coarse_gap(coarse_cfg, monkeypatch):
+    # the slit minimum meets the half-flux lambda1 bit for bit at h, and a
+    # gap opens at h/2: the two-grid ratio is inf, a FAIL, not a ZeroDivisionError
+    minima = iter([(1.0, [(0, 5, 1.0)]), (1.0, [(0, 5, 1.1)])])
+    monkeypatch.setattr(fl.experiments, "_slit_minimum", lambda cfg, lattice: next(minima))
+    _, verdicts = run_slit_infimum(coarse_cfg, None, refine=True)
+    (v,) = [v for v in verdicts if v.name == "slit-gap-refinement"]
+    assert not v.passed
+    assert v.checks == (("gap at h/2 over gap at h", math.inf, "<=", 0.5),)
+    assert v.line().endswith("gap at h/2 over gap at h inf (<= 0.5)")
+
+
 def test_slit_shortest_mode(tmp_path):
     p = tmp_path / "s.cfg"
     p.write_text(COARSE.format(epsilon="0.01", slit_mode="shortest"))
@@ -598,6 +611,25 @@ def test_symmetric_sector_verdict_needs_exact_equality(coarse_cfg, monkeypatch):
     _, verdicts = run_cover_equivalence(coarse_cfg, discretize(coarse_cfg))
     (v,) = [v for v in verdicts if v.name == "symmetric-spectrum-equality"]
     assert not v.passed, v.detail
+
+
+def test_trivial_cover_verdict_needs_exact_equality(coarse_cfg, monkeypatch):
+    # one entry of the lifted operator on the integer-flux cover off by 1e-12
+    # relative: its spectrum still doubles the base within 1e-8, but it is
+    # not two copies of the zero-flux operator
+    lifted = fl.experiments.assemble_lifted
+
+    def nudged(cover, V=None):
+        Hl = lifted(cover, V=V)
+        if not cover.cuts.any():
+            Hl.matrix.data[0] *= 1.0 + 1e-12
+        return Hl
+
+    monkeypatch.setattr(fl.experiments, "assemble_lifted", nudged)
+    _, verdicts = run_cover_equivalence(coarse_cfg, discretize(coarse_cfg))
+    by_name = {v.name: v for v in verdicts}
+    assert by_name["symmetric-spectrum-equality"].passed
+    assert not by_name["trivial-cover-doubling"].passed, by_name["trivial-cover-doubling"].detail
 
 
 def test_nodal_experiment(coarse_cfg, tmp_path):

@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 import fluxlab as fl
 from fluxlab.errors import DisconnectedDomain, NoSuchHole, SpecTooCoarse
 from fluxlab.experiments import Lattice, _centrally_symmetric
-from fluxlab.geometry import DomainSpec, label_components, lattice_symmetries
+from fluxlab.geometry import DomainSpec, lattice_symmetries, link_components, raster_links
 
 from conftest import winding_oracle
+from oracles import excluded_regions
 
 
 def flood_components(points, neighbors8=True):
@@ -169,21 +170,20 @@ def test_disconnected_domain_guard(monkeypatch):
         fl.build_grid(spec)
 
 
-@pytest.mark.parametrize("diagonal", [False, True])
-def test_label_components_matches_ndimage(diagonal, annulus, two_holes):
-    # scipy.ndimage.label is the oracle: same labels, same numbering
+def test_link_components_match_ndimage(annulus, two_holes):
+    # scipy.ndimage.label is the oracle: the same count, and the same
+    # numbering, each component's first cell in raster order
     from scipy import ndimage
 
-    structure = np.ones((3, 3), dtype=bool) if diagonal else None
     rng = np.random.default_rng(3)
     masks = [rng.random((31, 27)) < p for p in (0.4, 0.55, 0.7)]
     masks += [np.zeros((4, 5), dtype=bool), np.ones((1, 6), dtype=bool)]
     for g in (annulus, two_holes):
         masks += [g._vid >= 0, g._vid < 0]
     for mask in masks:
-        labels, count = label_components(mask, diagonal)
-        want, want_count = ndimage.label(mask, structure=structure)
-        assert count == want_count and np.array_equal(labels, want)
+        count, labels = link_components(raster_links(mask, ((1, 0), (0, 1))))
+        want, want_count = ndimage.label(mask)
+        assert count == want_count and np.array_equal(labels + 1, want[mask])
 
 
 def test_rectangular_holes():
@@ -267,6 +267,58 @@ def small_domains(draw):
         return fl.build_grid(fl.DomainSpec(outer=outer, holes=holes, spacing=h))
     except (SpecTooCoarse, DisconnectedDomain):
         assume(False)
+
+
+@st.composite
+def two_hole_domains(draw):
+    """Disk or rect domains with two disk or rect holes side by side at
+    h >= 0.05; some gaps fall below 3h, and those draws are dropped."""
+    h = draw(st.sampled_from([0.05, 0.1]))
+
+    def coord(reach):
+        return draw(st.integers(-reach, reach)) * h / 2
+
+    if draw(st.booleans()):
+        outer = fl.Disk(coord(2), coord(2), draw(st.sampled_from([1.0, 1.2])))
+    else:
+        x0, y0 = coord(2), coord(2)
+        outer = fl.Rect(x0, y0, x0 + draw(st.sampled_from([2.0, 2.4])), y0 + draw(st.sampled_from([1.2, 1.6])))
+    cx, cy = outer.reference_point()
+    holes = []
+    for side in (-0.5, 0.5):
+        hx, hy = cx + side + coord(2), cy + coord(2)
+        a, b = draw(st.sampled_from([0.15, 0.2])), draw(st.sampled_from([0.15, 0.2]))
+        holes.append(fl.Disk(hx, hy, a) if draw(st.booleans()) else fl.Rect(hx - a, hy - b, hx + a, hy + b))
+    try:
+        return fl.build_grid(fl.DomainSpec(outer=outer, holes=holes, spacing=h))
+    except (SpecTooCoarse, DisconnectedDomain):
+        assume(False)
+
+
+def assert_components_match_excluded_regions(grid):
+    excl, labels = excluded_regions(grid)
+    assert grid._excl.dtype == excl.dtype and grid._excl.tobytes() == excl.tobytes()
+    assert grid.boundary_labels.dtype == labels.dtype
+    assert grid.boundary_labels.tobytes() == labels.tobytes()
+
+
+def test_boundary_components_match_excluded_regions_on_fixtures(annulus, offset_annulus, two_holes):
+    for grid in (annulus, offset_annulus, two_holes):
+        assert_components_match_excluded_regions(grid)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_domains())
+def test_boundary_components_match_excluded_regions(grid):
+    # the shape that holds an excluded point names its boundary component
+    assert_components_match_excluded_regions(grid)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(two_hole_domains())
+def test_boundary_components_match_excluded_regions_two_holes(grid):
+    assert grid.k == 2
+    assert_components_match_excluded_regions(grid)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 import fluxlab as fl
 from fluxlab.config import load_config
 from fluxlab.errors import NoSignChange
-from fluxlab.geometry import full_cells
+from fluxlab.geometry import full_cells, raster_links
 from fluxlab.nodal import NodalSet, _cover_components, _cut_rasters, _mixed_cells, _zero_band, values_at_crossings
 from oracles import circle_zero_points, conjugation_operator, real_representatives, whole_window_mixed_cells
 from test_geometry import small_domains
@@ -144,6 +144,19 @@ def test_nodal_set_does_not_depend_on_eigenvector_sign(grid):
     cov = fl.build_cover(fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5])))
     u = fl.lowest_eigenpairs(fl.antisymmetric_block(cov), 1, tol=1e-10).eigenvectors[:, 0]
     assert_sign_free(u, cov, grid)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_domains())
+def test_cover_splits_in_two_iff_the_ground_nodal_set_slits(grid):
+    # on each half-flux ground state, the lifted complement of the nodal set
+    # has two components exactly when the set slits the domain
+    assume(grid.k == 1)
+    cov = fl.build_cover(fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5])))
+    r = fl.lowest_eigenpairs(fl.antisymmetric_block(cov), 3, tol=1e-10)
+    for u in r.eigenvectors[:, : fl.multiplicity_estimate(r.eigenvalues, 1e-3)].T:
+        rep = fl.topology_report(fl.extract_nodal_set(u, cov, grid), grid)
+        assert (rep.cover_domain_count == 2) == rep.passes_slitting, rep.to_json_line()
 
 
 def test_nodal_set_does_not_depend_on_eigenvector_sign_along_zeros():
@@ -306,7 +319,7 @@ def test_cover_components_match_oracle(annulus, annulus_half, annulus_cover, two
     cases = [(nod, grid, free_cells(nod, grid)) for nod, grid in sets]
     # every cell crossed: nothing free, no components
     cases.append((sets[0][0], annulus, np.zeros_like(cases[0][2])))
-    counts = [_cover_components(*case) for case in cases]
+    counts = [_cover_components(*case, raster_links(case[2], ((1, 0), (0, 1)))) for case in cases]
     assert counts == [oracle_cover_components(*case) for case in cases]
     assert counts[:2] == [2, 2] and counts[-1] == 0
 
