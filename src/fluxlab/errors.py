@@ -10,7 +10,8 @@ class SpecTooCoarse(FluxlabError):
 
 
 class SpecTooFine(FluxlabError):
-    """Lattice window too large to allocate for the domain at this spacing."""
+    """Spacing too fine for the domain: a lattice window too large to
+    allocate, or a step below the shapes' containment tolerance."""
 
 
 class DisconnectedDomain(FluxlabError):

@@ -302,8 +302,8 @@ def build_grid(spec: DomainSpec) -> GridDomain:
 
     Raises SpecTooCoarse when a hole fails to swallow a full lattice cell or
     a gap is narrower than three cells, SpecTooFine when the index window
-    would hold more than MAX_WINDOW_POINTS points, DisconnectedDomain when
-    the active set splits.
+    would hold more than MAX_WINDOW_POINTS points or EPS reaches its rim,
+    DisconnectedDomain when the active set splits.
     """
     spec.validate()
     h = spec.spacing
@@ -329,6 +329,10 @@ def build_grid(spec: DomainSpec) -> GridDomain:
 
     if not active.any():
         raise SpecTooCoarse("no lattice point falls inside the domain")
+    # the window pads the outer bbox by two points; only an h below about
+    # EPS / r lets the containment tolerance reach past that to its rim
+    if active[[0, -1]].any() or active[:, [0, -1]].any():
+        raise SpecTooFine(f"spacing {h:g} is below the containment tolerance's reach")
 
     # connectivity of the active set (4-neighbor)
     nlab, _ = link_components(raster_links(active, ((1, 0), (0, 1))))
@@ -363,18 +367,11 @@ def build_grid(spec: DomainSpec) -> GridDomain:
     edges[:mx, 0], edges[:mx, 1] = vid[:-1][ex], vid[1:][ex]
     edges[mx:, 0], edges[mx:, 1] = vid[:, :-1][ey], vid[:, 1:][ey]
 
-    # boundary labels from the excluded region touching each active vertex
-    labels = np.full(aw.size, -1, dtype=np.int16)
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        na, nb = aw + di, bw + dj
-        ok = (na >= 0) & (na < ni) & (nb >= 0) & (nb < nj)
-        reg = np.full(aw.size, -1, dtype=np.int16)
-        reg[ok] = excl[na[ok], nb[ok]]
-        hit = reg >= 0
-        clash = hit & (labels >= 0) & (labels != reg)
-        if clash.any():
-            raise SpecTooCoarse("a vertex touches two boundary components")
-        labels[hit] = reg[hit]
+    # boundary labels in one pass: each active vertex takes the largest label
+    # of its four neighbours, -1 when all are active.  The rim is inactive,
+    # so they lie in the window (a negative index would wrap silently), and
+    # validate's 3h gaps leave each vertex at most one component to touch
+    labels = np.maximum.reduce([excl[aw + di, bw + dj] for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))])
 
     hole_refs = np.array([hole.reference_point() for hole in spec.holes], dtype=float)
     grid = GridDomain(
@@ -440,46 +437,24 @@ def hole_loop(grid: GridDomain, i: int) -> LatticeLoop:
     """
     if not 1 <= i <= grid.k:
         raise NoSuchHole(f"hole index {i} outside 1..{grid.k}")
-    i0, j0, ni, nj = grid._window
     m = grid._excl == i
     bad = m[:-1, :-1] | m[1:, :-1] | m[:-1, 1:] | m[1:, 1:]
 
-    out_edges = {}
-    ba, bb = np.nonzero(bad)
-    for a, b in zip(ba, bb):
-        for side, nbr in (("S", (a, b - 1)), ("E", (a + 1, b)), ("N", (a, b + 1)), ("W", (a - 1, b))):
-            na, nb = nbr
-            inside = 0 <= na < bad.shape[0] and 0 <= nb < bad.shape[1]
-            if inside and bad[na, nb]:
-                continue
-            tail, head = _SIDE_EDGES[side](a, b)
-            out_edges.setdefault(tail, []).append(head)
+    # the sides of bad cells that face good ones, corner -> next corner; the
+    # hole lies 3h inside the outer shape, so no index leaves the window.  An
+    # open disk or rect is convex: it holds the point between two of its
+    # points two diagonal steps apart, so no corner starts two sides
+    succ = {}
+    for a, b in zip(*np.nonzero(bad)):
+        for side, (na, nb) in (("S", (a, b - 1)), ("E", (a + 1, b)), ("N", (a, b + 1)), ("W", (a - 1, b))):
+            if not bad[na, nb]:
+                tail, head = _SIDE_EDGES[side](a, b)
+                if succ.setdefault(tail, head) != head:
+                    raise SpecTooCoarse(f"loop around hole {i} pinches at a corner")
 
-    start = min(out_edges)
-    walk = [start]
-    prev_dir = None
-    cur = start
-    # prefer the sharpest left turn at (rare) pinch vertices
-    left_pref = {(1, 0): [(0, 1), (1, 0), (0, -1)], (-1, 0): [(0, -1), (-1, 0), (0, 1)],
-                 (0, 1): [(-1, 0), (0, 1), (1, 0)], (0, -1): [(1, 0), (0, -1), (-1, 0)]}
-    while True:
-        heads = out_edges[cur]
-        if len(heads) == 1 or prev_dir is None:
-            nxt = heads[0]
-        else:
-            for d in left_pref[prev_dir]:
-                cand = (cur[0] + d[0], cur[1] + d[1])
-                if cand in heads:
-                    nxt = cand
-                    break
-            else:
-                nxt = heads[0]
-        heads.remove(nxt)
-        prev_dir = (nxt[0] - cur[0], nxt[1] - cur[1])
-        cur = nxt
-        if cur == start:
-            break
-        walk.append(cur)
+    walk = [min(succ)]
+    while succ[walk[-1]] != walk[0]:
+        walk.append(succ[walk[-1]])
 
     vids = [int(grid._vid[a, b]) for a, b in walk]
     if any(v < 0 for v in vids):

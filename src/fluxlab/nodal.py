@@ -203,43 +203,27 @@ def extract_nodal_set(u, cover: CoverGraph, grid: GridDomain) -> NodalSet:
     if not segments:
         raise NoSignChange("no sign change on any fully active cell")
 
-    # chain the per-cell segments into polylines
-    node_segs = {}
-    for s, (k1, k2, _) in enumerate(segments):
-        node_segs.setdefault(k1, []).append(s)
-        node_segs.setdefault(k2, []).append(s)
-    for key, ss in node_segs.items():
-        if len(ss) > 2:
-            raise RuntimeError(f"contour node {key} has degree {len(ss)}")
+    # chain the per-cell segments into polylines.  A node sits on an edge
+    # that at most two cells share, so it has at most two neighbours, and two
+    # cells share at most one edge, so no two segments join the same nodes
+    nbrs = {}
+    for k1, k2, _ in segments:
+        nbrs.setdefault(k1, []).append(k2)
+        nbrs.setdefault(k2, []).append(k1)
 
-    used = [False] * len(segments)
-
-    def walk(start_key):
-        chain = [start_key]
-        cur = start_key
-        while True:
-            nxt_seg = None
-            for s in node_segs[cur]:
-                if not used[s]:
-                    nxt_seg = s
-                    break
-            if nxt_seg is None:
-                break
-            used[nxt_seg] = True
-            k1, k2, _ = segments[nxt_seg]
-            cur = k2 if k1 == cur else k1
+    def walk(cur):
+        chain = [cur]
+        while nbrs[cur]:
+            nxt = nbrs[cur].pop(0)
+            nbrs[nxt].remove(cur)
+            cur = nxt
             chain.append(cur)
-            if cur == start_key:
-                break
         return chain
 
-    chains = []
-    for key in sorted(k for k, ss in node_segs.items() if len(ss) == 1):
-        if not used[node_segs[key][0]]:
-            chains.append((walk(key), False))
-    for key in sorted(node_segs):
-        if any(not used[s] for s in node_segs[key]):
-            chains.append((walk(key), True))
+    # open chains from their lower end first; what is left are closed loops
+    ends = sorted(key for key, nb in nbrs.items() if len(nb) == 1)
+    chains = [(walk(key), False) for key in ends if nbrs[key]]
+    chains += [(walk(key), True) for key in sorted(nbrs) if nbrs[key]]
 
     # boundary vertices for endpoint snapping
     bverts = np.nonzero(grid.boundary_labels >= 0)[0]

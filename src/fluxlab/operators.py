@@ -163,8 +163,9 @@ class SlitPath:
 
 
 def make_slit(grid: GridDomain, vertices) -> SlitPath:
-    """Validate a vertex path as a slit: adjacent steps, boundary endpoints
-    on distinct components, interior strictly off the boundary."""
+    """Validate a vertex path as a slit: adjacent steps, and boundary
+    endpoints on distinct components.  Interior vertices may touch the
+    boundary too; nothing checks them."""
     verts = [int(v) for v in vertices]
     if len(verts) < 2:
         raise BadSlit("slit needs at least two vertices")
@@ -200,25 +201,29 @@ def radial_slit(grid: GridDomain, hole: int, angle: float) -> SlitPath:
 
     Walks the 4-connected rasterization of the ray and keeps the contiguous
     active run, so it starts on the hole's boundary staircase and ends on
-    the first boundary component the ray leaves through.
+    the first boundary component the ray meets.  Validate's 3h gaps keep
+    the points of two shapes from being lattice neighbours, so the walk
+    meets an active point, and then an excluded one, inside the window.
     """
     if not 1 <= hole <= grid.k:
         raise BadSlit(f"hole index {hole} outside 1..{grid.k}")
     h = grid.spacing
     cx, cy = grid.hole_refs[hole - 1]
     dx, dy = np.cos(angle), np.sin(angle)
-    i0, j0, ni, nj = grid._window
+    i0, j0, _, _ = grid._window
 
     # 4-connected ray walk from the hole center outwards
     a = int(round(cx / h)) - i0
     b = int(round(cy / h)) - j0
-    path = []
-    guard = 4 * (ni + nj)
-    for _ in range(guard):
-        if not (0 <= a < ni and 0 <= b < nj):
+    run = []
+    while True:
+        v = int(grid._vid[a, b])
+        if v >= 0:
+            run.append(v)
+        elif run:
             break
-        path.append((a, b))
-        # candidate steps; pick the one closest to the continuous ray, ahead of us
+        # the step ahead of us closest to the continuous ray; the position t
+        # along the ray strictly increases, so no point repeats
         best, best_err = None, None
         for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             na, nb = a + da, b + db
@@ -229,21 +234,10 @@ def radial_slit(grid: GridDomain, hole: int, angle: float) -> SlitPath:
             err = abs(px * dy - py * dx)
             if best is None or err < best_err - 1e-15:
                 best, best_err = (na, nb), err
-        if best is None:
-            break
         a, b = best
 
-    vids = [int(grid._vid[a, b]) for a, b in path]
-    active_run = [v for v in vids if v >= 0]
-    if not active_run:
-        raise BadSlit(f"ray at angle {angle} misses the active set")
-    # clip to the span between the first and last boundary vertices
-    lab = grid.boundary_labels
-    onb = [t for t, v in enumerate(active_run) if lab[v] >= 0]
-    if len(onb) < 2:
-        raise BadSlit(f"ray at angle {angle} does not join two boundary components")
-    run = active_run[onb[0] : onb[-1] + 1]
     # trim interior boundary contacts at the ends
+    lab = grid.boundary_labels
     while len(run) > 2 and lab[run[1]] >= 0 and lab[run[1]] == lab[run[0]]:
         run = run[1:]
     while len(run) > 2 and lab[run[-2]] >= 0 and lab[run[-2]] == lab[run[-1]]:

@@ -7,19 +7,21 @@ block read off a two-sheet graph, the mixed cells of marching squares read
 off corner stacks over the whole index window, the zeros of a real
 antisymmetric function on the circle cover, the plaquette sums of a link
 field, the integer flux shift of a link field, the Hermiticity defect of
-an assembled operator, the lattice neighbours of a vertex, and the
+an assembled operator, the lattice neighbours of a vertex, the
 boundary components read off the 8-neighbour regions of the excluded
-lattice points.
+lattice points, and the radial slit read off a ray walk across the whole
+index window.
 """
 
 import numpy as np
 from scipy import sparse
 
 import fluxlab as fl
-from fluxlab.errors import FluxlabError, LengthMismatch, NoSignChange
+from fluxlab.errors import BadSlit, FluxlabError, LengthMismatch, NoSignChange
 from fluxlab.experiments import _symmetries
 from fluxlab.geometry import full_cells
 from fluxlab.nodal import _cut_rasters, _zero_band
+from fluxlab.operators import make_slit
 
 KEEP_TOL = 1e-6  # shortest Gram-Schmidt candidate that adds a K-fixed direction
 
@@ -237,3 +239,49 @@ def excluded_regions(grid: fl.GridDomain):
         assert len(touched) <= 1
         labels[v] = touched.pop() if touched else -1
     return excl, labels
+
+
+def window_ray_slit(grid: fl.GridDomain, hole: int, angle: float) -> fl.SlitPath:
+    """Radial slit from a ray walk to the edge of the index window.
+
+    The walk keeps every active point it passes, clips them to the span
+    between the first and the last boundary vertex, and trims boundary
+    contacts at both ends.  A ray that crosses a second hole keeps the
+    points on both sides of it, and make_slit rejects the gap.
+    """
+    h = grid.spacing
+    cx, cy = grid.hole_refs[hole - 1]
+    dx, dy = np.cos(angle), np.sin(angle)
+    i0, j0, ni, nj = grid._window
+    a = int(round(cx / h)) - i0
+    b = int(round(cy / h)) - j0
+    path = []
+    for _ in range(4 * (ni + nj)):
+        if not (0 <= a < ni and 0 <= b < nj):
+            break
+        path.append((a, b))
+        best, best_err = None, None
+        for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            na, nb = a + da, b + db
+            px, py = (na + i0) * h - cx, (nb + j0) * h - cy
+            t = px * dx + py * dy
+            if t <= ((a + i0) * h - cx) * dx + ((b + j0) * h - cy) * dy:
+                continue
+            err = abs(px * dy - py * dx)
+            if best is None or err < best_err - 1e-15:
+                best, best_err = (na, nb), err
+        if best is None:
+            break
+        a, b = best
+
+    active_run = [v for v in (int(grid._vid[a, b]) for a, b in path) if v >= 0]
+    lab = grid.boundary_labels
+    onb = [t for t, v in enumerate(active_run) if lab[v] >= 0]
+    if len(onb) < 2:
+        raise BadSlit(f"ray at angle {angle} does not join two boundary components")
+    run = active_run[onb[0] : onb[-1] + 1]
+    while len(run) > 2 and lab[run[1]] >= 0 and lab[run[1]] == lab[run[0]]:
+        run = run[1:]
+    while len(run) > 2 and lab[run[-2]] >= 0 and lab[run[-2]] == lab[run[-1]]:
+        run = run[:-1]
+    return make_slit(grid, run)

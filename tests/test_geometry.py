@@ -1,5 +1,6 @@
 """Grid construction, boundary labeling and hole-encircling loops."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fluxlab as fl
-from fluxlab.errors import DisconnectedDomain, NoSuchHole, SpecTooCoarse
+from fluxlab.errors import DisconnectedDomain, NoSuchHole, SpecTooCoarse, SpecTooFine
 from fluxlab.experiments import Lattice, _centrally_symmetric
 from fluxlab.geometry import DomainSpec, lattice_symmetries, link_components, raster_links
 
@@ -141,6 +142,23 @@ def test_hole_loop_out_of_range(two_holes):
         fl.hole_loop(two_holes, 3)
     with pytest.raises(NoSuchHole):
         fl.hole_loop(two_holes, 0)
+
+
+def test_hole_loop_rejects_a_pinched_hole(annulus):
+    # hole points two diagonal steps apart without the point between them,
+    # which no convex hole leaves: their dilations meet at one corner only
+    i0, j0, _, _ = annulus._window
+    excl = np.where(annulus._excl == 1, -1, annulus._excl)
+    excl[-i0, -j0] = excl[2 - i0, 2 - j0] = 1
+    with pytest.raises(SpecTooCoarse, match="pinches"):
+        fl.hole_loop(dataclasses.replace(annulus, _excl=excl), 1)
+
+
+def test_spacing_below_the_containment_tolerance_rejected():
+    # EPS reaches past the window's two-point pad, onto its rim
+    for outer, h in ((fl.Disk(0, 0, 1e-4), 1e-6), (fl.Rect(0, 0, 1e-7, 1e-7), 1e-10)):
+        with pytest.raises(SpecTooFine, match="containment tolerance"):
+            fl.build_grid(fl.DomainSpec(outer=outer, spacing=h))
 
 
 def test_too_small_hole_rejected():
@@ -341,3 +359,13 @@ def test_lattice_symmetries_are_a_group_of_lattice_maps(grid):
 @pytest.mark.parametrize("fixture, order", [("annulus", 8), ("offset_annulus", 1), ("two_holes", 4)])
 def test_lattice_symmetries_of_fixtures(request, fixture, order):
     assert len(lattice_symmetries(request.getfixturevalue(fixture))) == order
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(small_domains(), two_hole_domains()), st.lists(st.floats(-2, 2), min_size=2, max_size=2))
+def test_hole_loop_circulation_is_the_hole_flux(grid, fluxes):
+    # the paper's circulation around each hole, on random domains
+    assume(grid.k >= 1)
+    f = fl.aharonov_bohm_potential(grid, fluxes[: grid.k])
+    for i in range(1, grid.k + 1):
+        assert abs(fl.circulation(f, fl.hole_loop(grid, i)) - fluxes[i - 1]) <= 1e-12

@@ -1,5 +1,6 @@
 """Nodal extraction and the slitting topology report."""
 
+import json
 import tracemalloc
 from collections import deque
 
@@ -75,6 +76,22 @@ def test_two_hole_slitting(two_holes):
         assert rep.bounds_ok  # 1 <= n <= 2
         assert rep.cover_domain_count == 2
         assert rep.passes_slitting == (rep.cover_domain_count == 2)
+
+
+def test_a_closed_contour_chains_into_a_closed_polyline(annulus, annulus_cover):
+    # u < 0 on a disk of radius 0.15 inside the annulus, beside the line
+    # that the cut's sign change makes from the hole to the outer boundary
+    cov, _ = annulus_cover
+    x, y = annulus.xy.T
+    nod = fl.extract_nodal_set((x - 0.6) ** 2 + y**2 - 0.15**2, cov, annulus)
+    assert (nod.n_open, nod.n_closed) == (1, 1)
+    assert nod.endpoint_labels == [(1, 0), None]
+    assert [len(p) for p in nod.polylines] == [20, 15]
+    assert np.array_equal(nod.polylines[1][0], nod.polylines[1][-1])
+    rep = fl.topology_report(nod, annulus)
+    assert rep.n_closed == 1 and not rep.passes_slitting
+    d = json.loads(rep.to_json_line())
+    assert d["n_closed"] == 1 and d["passes_slitting"] is False
 
 
 def test_round_off_zeros_do_not_move_the_nodal_set():
@@ -489,8 +506,6 @@ def test_crossings_are_the_lifted_edges_marching_squares_read():
 
 
 def test_report_json_line(annulus, annulus_half):
-    import json
-
     _, reps, cov, th = ground_representatives(annulus, annulus_half)
     nod = fl.extract_nodal_set(base_values(reps[:, 0], th), cov, annulus)
     rep = fl.topology_report(nod, annulus)

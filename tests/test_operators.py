@@ -4,13 +4,15 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import fluxlab as fl
 from fluxlab.config import load_config
 from fluxlab.errors import BadSlit, InconsistentSizes, TooFewPoints
 from fluxlab.eigensolver import gershgorin_bounds
 from fluxlab.operators import make_slit
-from oracles import hermiticity_defect, neighbors
+from oracles import hermiticity_defect, neighbors, window_ray_slit
+from test_geometry import small_domains
 
 
 def test_chain_is_second_difference_matrix():
@@ -169,6 +171,34 @@ def test_rotated_slit_same_eigenvalue(annulus):
         H = fl.assemble_slit(annulus, fl.zero_field(annulus), slit=slit)
         lams.append(fl.lowest_eigenpairs(H, 1, tol=1e-11).eigenvalues[0])
     assert abs(lams[0] - lams[1]) < 1e-8 * (1 + abs(lams[0]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_domains())
+def test_radial_slit_matches_the_window_walk(grid):
+    assume(grid.k == 1)
+    for t in range(32):
+        angle = 2 * np.pi * t / 32
+        try:
+            want = window_ray_slit(grid, 1, angle)
+        except BadSlit:
+            continue
+        assert fl.radial_slit(grid, 1, angle) == want
+
+
+def test_radial_slits_stop_at_the_first_boundary(two_holes):
+    for hole in (1, 2):
+        for t in range(32):
+            assert fl.radial_slit(two_holes, hole, 2 * np.pi * t / 32).start_label == hole
+    # the ray from hole 1 towards hole 2 ends on it: the lattice row y =
+    # 0.48 nearest the centres, from x = 1.2 to 1.8 at h = 0.04.  The walk
+    # to the window's edge keeps the points beyond hole 2 too, and the gap
+    # is no slit
+    slit = fl.radial_slit(two_holes, 1, 0.0)
+    assert (slit.start_label, slit.end_label) == (1, 2)
+    assert np.allclose(two_holes.xy[list(slit.vertices)], np.column_stack([np.linspace(1.2, 1.8, 16), np.full(16, 0.48)]))
+    with pytest.raises(BadSlit, match="not lattice neighbors"):
+        window_ray_slit(two_holes, 1, 0.0)
 
 
 def test_bad_slit_same_component(annulus):
