@@ -214,6 +214,42 @@ def antisymmetric_block(cover: CoverGraph, V=None) -> HamiltonianMatrix:
     return assemble(graph, V=V)
 
 
+def gauge_bound(cover: CoverGraph, H, k: int) -> float:
+    """A bound on every entry of conj(D) H D - B and of Hl L - L H, where H
+    is the half-flux operator of a k-hole grid, B its antisymmetric block, Hl
+    the lifted operator, D = diag(exp(i eta)) and L = diag(exp(-i theta))
+    [I; I] / sqrt(2), with eta = cover.eta and theta = build_theta(cover).
+
+    In exact arithmetic both vanish: a hop of H is -exp(-i theta_e) / h^2,
+    and eta_a + theta_e - eta_b is pi on a cut edge e = (a, b) and a multiple
+    of 2 pi on any other; theta is eta on sheet 0 and eta + pi on sheet 1.
+    In floating point, with unit roundoff u = eps / 2, a hop misses by h^-2
+    times the error of that phase sum, which has three parts:
+    - eta_v is summed along the BFS tree path from vertex 0, at most d steps
+      for a tree of depth d.  Each addition rounds by at most u times its
+      partial sum, itself an eta value, so eta_v is off by at most
+      u d max|eta|, and the two ends of an edge by eps d max|eta|.
+    - The stored half-flux phases close each cycle on a multiple of pi up
+      to their own rounding.  An angle difference between lattice
+      neighbours is exact (Sterbenz) except where the cycle crosses a hole's
+      branch ray, at about 2 eps per crossing, and the sum over the holes
+      rounds by u |theta_e|: 2 pi k eps allows for both.
+    - On sheet 1, eta + pi rounds, and so does pi: eps (max|eta| + pi + 1.1)
+      over the two ends of a lifted edge, within eps max|eta| + 2 pi eps.
+    So each phase is off by at most eps ((d + 1) max|eta| + 2 pi (k + 1)).
+    The exponentials and the two products of an entry add at most
+    8 eps max|H|: |fl(exp(ix))| is 1 within 2u, and a complex product rounds
+    by at most 2 sqrt(2) u.  This holds on the diagonal too, where B and Hl
+    hold H's values.
+    """
+    from scipy.sparse.csgraph import shortest_path  # see geometry.link_components
+
+    # a BFS tree is a shortest-path tree: its depth is vertex 0's eccentricity
+    depth = shortest_path(abs(cover.base.adjacency()), indices=0, unweighted=True).max()
+    phase = (depth + 1) * np.abs(cover.eta).max() + 2 * np.pi * (k + 1)
+    return float(np.finfo(float).eps * (phase / cover.base.spacing**2 + 8 * abs(H).max()))
+
+
 class ConjugationOperator:
     """Antilinear involution commuting with the half-flux operator.
 

@@ -4,11 +4,12 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 
 import fluxlab as fl
-from fluxlab.cover import spanning_tree, tree_potential
+from fluxlab.config import load_config
+from fluxlab.cover import gauge_bound, spanning_tree, tree_potential
 from fluxlab.eigensolver import gershgorin_bounds
 from fluxlab.errors import (
     DisconnectedCover,
@@ -18,7 +19,7 @@ from fluxlab.errors import (
 )
 
 from oracles import DegenerateProjection, conjugation_operator, real_representative, real_representatives
-from test_geometry import small_domains
+from test_geometry import small_domains, two_hole_domains
 
 
 def loop_cut_parity(grid, cover, loop):
@@ -174,7 +175,8 @@ def test_antisymmetric_block_bit_identical_to_signed_hops(annulus, annulus_cover
         assert got.dtype == np.float64
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
-    # the magnetic side of the cover equivalence stays an independent complex solve
+    # the magnetic side of the cover equivalence is the complex H that
+    # conj(D) H D = B maps onto this block, assembled on its own
     assert np.iscomplexobj(fl.assemble_magnetic(annulus, fl.aharonov_bohm_potential(annulus, [0.5])).matrix)
 
 
@@ -380,8 +382,8 @@ def test_cover_phase_is_the_base_gauge_on_random_domains(grid):
     cg = cov.as_edge_graph()
     want = tree_potential(cg, spanning_tree(cg))
     assert np.max(np.abs(np.exp(1j * th) - np.exp(1j * want))) <= 1e-10
-    # the lift carries magnetic eigenpairs to lifted ones, within the
-    # lift-intertwines-eigenpairs budget
+    # the lift carries magnetic eigenpairs to lifted ones within ten times
+    # the solver's residual budget, as Hl L = L H makes it
     tol = 1e-10
     r = fl.lowest_eigenpairs(fl.assemble_magnetic(grid, field), 3, tol=tol)
     Hl = fl.assemble_lifted(cov).matrix
@@ -389,3 +391,51 @@ def test_cover_phase_is_the_base_gauge_on_random_domains(grid):
     for j in range(3):
         lu = fl.lift_to_cover(r.eigenvectors[:, j], th)
         assert np.linalg.norm(Hl @ lu - r.eigenvalues[j] * lu) <= budget
+
+
+def gauge_defects(grid, V=None):
+    """Hl, B, max |conj(D) H D - B| and max |Hl L - L H| for the half-flux
+    operator H, the last two entry by entry off the CSR arrays, and their bound."""
+    field = fl.aharonov_bohm_potential(grid, [0.5] * grid.k)
+    cov = fl.build_cover(fl.as_edge_graph(grid, field))
+    H = fl.assemble_magnetic(grid, field, V=V).matrix
+    B = fl.antisymmetric_block(cov, V=V).matrix
+    Hl = fl.assemble_lifted(cov, V=V).matrix
+    n = grid.n_vertices
+    # H and B share one pattern; (D^H H D)_vw = exp(-i eta_v) H_vw exp(i eta_w)
+    assert np.array_equal(H.indptr, B.indptr) and np.array_equal(H.indices, B.indices)
+    rows = np.repeat(np.arange(n), np.diff(H.indptr))
+    z = np.exp(1j * cov.eta)
+    gauge = np.abs(np.conj(z[rows]) * H.data * z[H.indices] - B.data).max()
+    # each stored (x, y) of Hl gives the one term of (Hl L)_{x, y mod n}, and
+    # (L H)_{x, y mod n} = w_x H_{x mod n, y mod n}, with w = exp(-i theta) / sqrt(2)
+    w = np.exp(-1j * fl.build_theta(cov)) / np.sqrt(2.0)
+    x = np.repeat(np.arange(2 * n), np.diff(Hl.indptr))
+    y = Hl.indices
+    lift = np.abs(Hl.data * w[y] - w[x] * np.asarray(H[x % n, y % n]).ravel()).max()
+    return Hl, B, gauge, lift, gauge_bound(cov, H, grid.k)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(small_domains(), two_hole_domains()), st.booleans())
+def test_gauge_identities_on_random_domains(grid, with_V):
+    # the real block and the complex operator agree with no solve: D maps H
+    # onto B and L intertwines H with Hl within gauge_bound, and B is the
+    # antisymmetric sector of Hl exactly, with and without a potential
+    assume(grid.k >= 1)
+    n = grid.n_vertices
+    V = np.random.default_rng(n).uniform(0.0, 50.0, n) if with_V else None
+    Hl, B, gauge, lift, bound = gauge_defects(grid, V)
+    assert gauge <= bound and lift <= bound, (gauge, lift, bound)
+    sector = Hl[:n, :n] - Hl[:n, n:] - Hl[n:, :n] + Hl[n:, n:]
+    assert abs(0.5 * sector - B).max() == 0.0
+
+
+@pytest.mark.parametrize("config", ["annulus", "annulus_offset", "two_holes"])
+def test_gauge_bound_sees_a_nudged_hop_at_fine_spacing(config):
+    # the bound grows with the tree depth, but at h = 0.01 it stays below a
+    # hop of h^-2 nudged by 1e-12 relative, and above the identities' defects
+    d = load_config(f"configs/{config}.cfg").domain
+    grid = fl.build_grid(fl.DomainSpec(outer=d.outer, holes=d.holes, spacing=0.01))
+    *_, gauge, lift, bound = gauge_defects(grid)
+    assert max(gauge, lift) <= bound < 1e-12 / grid.spacing**2

@@ -613,6 +613,62 @@ def test_symmetric_sector_verdict_needs_exact_equality(coarse_cfg, monkeypatch):
     assert not v.passed, v.detail
 
 
+def nudge_hop(A):
+    """Put the first stored off-diagonal entry of the CSR matrix A off by
+    1e-12 relative, the smallest change a gauge identity must see."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    A.data[np.flatnonzero(rows != A.indices)[0]] *= 1.0 + 1e-12
+
+
+def test_antisymmetric_verdict_needs_the_gauge_identity(coarse_cfg, monkeypatch):
+    # one hop of the half-flux operator H off by 1e-12 relative: its spectrum
+    # still matches the block's within 1e-8, but conj(D) H D is not B
+    assemble = fl.experiments.assemble
+
+    def nudged(graph, V=None):
+        H = assemble(graph, V=V)
+        nudge_hop(H.matrix)
+        return H
+
+    monkeypatch.setattr(fl.experiments, "assemble", nudged)
+    _, verdicts = run_cover_equivalence(coarse_cfg, discretize(coarse_cfg))
+    by_name = {v.name: v for v in verdicts}
+    circle, gauge, sector = by_name["antisymmetric-spectrum-equality"].checks
+    assert circle.holds() and sector.holds() and not gauge.holds(), gauge
+    assert by_name["symmetric-spectrum-equality"].passed and by_name["trivial-cover-doubling"].passed
+
+
+def test_lift_verdict_needs_the_intertwining_identity(coarse_cfg, monkeypatch):
+    # one hop of the half-flux lifted operator off by 1e-12 relative: the
+    # lifts of H's eigenpairs stay within the solver's residual budget, but
+    # Hl L is not L H
+    lifted = fl.experiments.assemble_lifted
+
+    def nudged(cover, V=None):
+        Hl = lifted(cover, V=V)
+        if cover.cuts.any():
+            nudge_hop(Hl.matrix)
+        return Hl
+
+    monkeypatch.setattr(fl.experiments, "assemble_lifted", nudged)
+    _, verdicts = run_cover_equivalence(coarse_cfg, discretize(coarse_cfg))
+    by_name = {v.name: v for v in verdicts}
+    assert not by_name["lift-intertwines-eigenpairs"].passed, by_name["lift-intertwines-eigenpairs"].detail
+    assert by_name["trivial-cover-doubling"].passed
+
+
+def test_cover_equivalence_solves_the_circle_only(coarse_cfg, monkeypatch):
+    # every domain claim is an operator identity: the two solves left are
+    # the circle's magnetic operator and its antisymmetric block
+    calls = count_solves(monkeypatch)
+    lattice = discretize(coarse_cfg)
+    rows, verdicts = run_cover_equivalence(coarse_cfg, lattice)
+    n = max(64, coarse_cfg.circle.points // 4)
+    assert calls == [n, n] and lattice.grid.n_vertices > n
+    assert [r[0] for r in rows] == ["circle-antisymmetric", "circle-magnetic"]
+    assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
+
+
 def test_trivial_cover_verdict_needs_exact_equality(coarse_cfg, monkeypatch):
     # one entry of the lifted operator on the integer-flux cover off by 1e-12
     # relative: its spectrum still doubles the base within 1e-8, but it is
