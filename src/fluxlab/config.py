@@ -61,6 +61,10 @@ class SolverSettings:
     cluster_tol: float = 1e-3
 
 
+def is_half_integer(alpha) -> bool:
+    return abs(alpha - np.floor(alpha) - 0.5) < 1e-12
+
+
 @dataclass
 class CircleSettings:
     points: int = 256
@@ -102,7 +106,6 @@ class ExperimentConfig:
     circle: CircleSettings = field(default_factory=CircleSettings)
     slit: SlitSettings = field(default_factory=SlitSettings)
     multiplicity: MultiplicitySettings = field(default_factory=MultiplicitySettings)
-    name: str = "experiment"
 
     def potential(self, grid):
         """Evaluate the configured potential on the grid vertices (None = zero);
@@ -141,7 +144,6 @@ _SETTINGS = {
 _SECTION_KEYS = {
     "domain": ("outer", "spacing", "file"),
     "potential": ("kind",) + tuple(dict.fromkeys(k for ks in _POTENTIAL_KINDS.values() for k in ks)),
-    "experiment": ("name",),
     **{name: tuple(f.name for f in fields(cls)) for name, cls in _SETTINGS.items()},
 }
 
@@ -272,12 +274,15 @@ def load_config(path, *, _referenced_by=None) -> ExperimentConfig:
         raise ConfigError(f"[multiplicity] bump_sigma must be positive, got {s['multiplicity'].bump_sigma}")
     if s["circle"].points < 64:
         raise ConfigError(f"[circle] points must be at least 64, got {s['circle'].points}")
+    # circle-degeneracy-at-half-flux decides its claim only on both kinds of alpha
+    alphas = s["circle"].alphas
+    if {is_half_integer(alpha) for alpha in alphas} != {True, False}:
+        raise ConfigError(f"[circle] alphas needs a half-integer and another alpha, got {alphas or 'none'}")
 
     kind = _value(cp, "potential", "kind", ExperimentConfig.potential_kind)
     return ExperimentConfig(
         domain=domain,
         potential_kind=kind,
         potential_params=_potential_params(cp, path, kind),
-        name=_value(cp, "experiment", "name", ExperimentConfig.name),
         **s,
     )

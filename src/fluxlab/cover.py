@@ -13,6 +13,7 @@ spectrum of the plain lifted Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,46 +30,58 @@ _CIRCULATION_TOL = 2e-9  # off an integer, for a doubled fundamental-cycle circu
 _PHASE_TOL = 1e-10  # radians, for the cover phase's closure and sign flip
 
 
-def spanning_tree(graph: EdgeGraph):
+class SpanningTree(NamedTuple):
+    """A BFS spanning tree from vertex 0, in csgraph's int32 indices;
+    order[levels[i]:levels[i + 1]] are the vertices i hops from vertex 0."""
+
+    order: np.ndarray        # (n,) vertices in BFS order
+    parent: np.ndarray       # (n,) parent vertex, -1 at the root
+    parent_edge: np.ndarray  # (n,) edge id to the parent, -1 at the root
+    parent_sign: np.ndarray  # (n,) int8, +1 if that edge runs parent -> child, -1 if child -> parent
+    levels: np.ndarray       # (depth + 2,) start of each level in order, then n
+
+    @property
+    def depth(self):
+        return self.levels.size - 2
+
+
+def spanning_tree(graph: EdgeGraph) -> SpanningTree:
     """BFS spanning tree from vertex 0 with sorted neighbor order.
 
-    Returns (order, parent_vertex, parent_edge, parent_sign, is_tree_edge).
     Deterministic; raises DisconnectedDomain if the graph is disconnected.
     """
     from scipy.sparse.csgraph import breadth_first_order  # see geometry.link_components
 
     adj = graph.adjacency()
     # on sorted CSR rows the traversal visits neighbors in ascending order
-    order, pred = breadth_first_order(adj, 0, directed=True, return_predecessors=True)
+    order, parent = breadth_first_order(adj, 0, directed=True, return_predecessors=True)
     if order.size != graph.n:
         raise DisconnectedDomain("graph is not connected")
-    order = order.astype(np.int64)
-    parent = pred.astype(np.int64)
     parent[0] = -1
-    parent_edge = np.full(graph.n, -1, dtype=np.int64)
+    parent_edge = np.full(graph.n, -1, dtype=np.int32)
     parent_sign = np.zeros(graph.n, dtype=np.int8)
     child = order[1:]
     # the signed id of each tree edge, looked up in place in the CSR rows
     signed = np.asarray(adj[parent[child], child]).ravel()
     parent_edge[child] = np.abs(signed) - 1
     parent_sign[child] = np.sign(signed)
-    is_tree = np.zeros(graph.edges.shape[0], dtype=bool)
-    is_tree[parent_edge[child]] = True
-    return order, parent, parent_edge, parent_sign, is_tree
-
-
-def tree_potential(graph: EdgeGraph, tree) -> np.ndarray:
-    """Integral of the link phases along the spanning tree, rooted at 0."""
-    order, parent, parent_edge, parent_sign, _ = tree
-    position = np.empty(graph.n, dtype=np.int64)
+    position = np.empty(graph.n, dtype=np.int32)
     position[order] = np.arange(graph.n)
     # parents' BFS positions are nondecreasing along the order, so the
-    # children of the slice order[lo:hi] are the next contiguous slice
-    parent_position = position[parent[order[1:]]]
+    # children of the level order[lo:hi] are the next contiguous slice
+    parent_position = position[parent[child]]
+    levels = [0, 1]
+    while levels[-1] < graph.n:
+        levels.append(1 + int(np.searchsorted(parent_position, levels[-1])))
+    return SpanningTree(order, parent, parent_edge, parent_sign, np.array(levels))
+
+
+def tree_potential(graph: EdgeGraph, tree: SpanningTree) -> np.ndarray:
+    """Integral of the link phases along the spanning tree, rooted at 0,
+    one BFS level at a time."""
+    order, parent, parent_edge, parent_sign, levels = tree
     eta = np.zeros(graph.n)
-    lo, hi = 0, 1
-    while hi < graph.n:
-        lo, hi = hi, 1 + int(np.searchsorted(parent_position, hi))
+    for lo, hi in zip(levels[1:-1], levels[2:]):
         v = order[lo:hi]
         eta[v] = eta[parent[v]] + parent_sign[v] * graph.theta[parent_edge[v]]
     return eta
@@ -81,6 +94,7 @@ class CoverGraph:
     base: EdgeGraph
     cuts: np.ndarray        # (m,) bool, True where the edge crosses sheets
     eta: np.ndarray         # (n,) base tree potential, rooted at vertex 0
+    tree: SpanningTree = field(default=None, repr=False)  # eta's tree; None if built by hand
     _cover_edges: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -122,27 +136,6 @@ class CoverGraph:
         return EdgeGraph(n=self.n, edges=self.cover_edges(), theta=theta, spacing=self.base.spacing)
 
 
-def _half_integer_circulations(graph: EdgeGraph):
-    """Tree potential and fundamental-cycle circulation per edge (0 on tree edges).
-
-    Raises NonHalfIntegerFlux unless every doubled circulation is within
-    _CIRCULATION_TOL of an integer.
-    """
-    tree = spanning_tree(graph)
-    eta = tree_potential(graph, tree)
-    a, b = graph.edges[:, 0], graph.edges[:, 1]
-    circ = (eta[a] + graph.theta - eta[b]) / TWO_PI
-    circ[tree[4]] = 0.0
-    doubled = 2.0 * circ
-    off = np.abs(doubled - np.round(doubled))
-    if np.any(off > _CIRCULATION_TOL):
-        worst = int(np.argmax(off))
-        raise NonHalfIntegerFlux(
-            f"cycle through edge {worst} has circulation {circ[worst]:.9f}"
-        )
-    return eta, circ
-
-
 def build_cover(base: EdgeGraph) -> CoverGraph:
     """Construct the cover determined by the link phases.
 
@@ -151,9 +144,20 @@ def build_cover(base: EdgeGraph) -> CoverGraph:
     some cycle is genuinely half-integer; all-integer circulations give the
     trivial two-copy cover.
     """
-    eta, circ = _half_integer_circulations(base)
-    cuts = np.abs(np.round(2.0 * circ).astype(np.int64)) % 2 == 1
-    return CoverGraph(base=base, cuts=cuts, eta=eta)
+    tree = spanning_tree(base)
+    eta = tree_potential(base, tree)
+    a, b = base.edges[:, 0], base.edges[:, 1]
+    circ = (eta[a] + base.theta - eta[b]) / TWO_PI
+    circ[tree.parent_edge[tree.order[1:]]] = 0.0
+    doubled = 2.0 * circ
+    off = np.abs(doubled - np.round(doubled))
+    if np.any(off > _CIRCULATION_TOL):
+        worst = int(np.argmax(off))
+        raise NonHalfIntegerFlux(
+            f"cycle through edge {worst} has circulation {circ[worst]:.9f}"
+        )
+    cuts = np.abs(np.round(doubled).astype(np.int64)) % 2 == 1
+    return CoverGraph(base=base, cuts=cuts, eta=eta, tree=tree)
 
 
 def build_theta(cover: CoverGraph) -> np.ndarray:
@@ -225,9 +229,9 @@ def gauge_bound(cover: CoverGraph, H, k: int) -> float:
     of 2 pi on any other; theta is eta on sheet 0 and eta + pi on sheet 1.
     In floating point, with unit roundoff u = eps / 2, a hop misses by h^-2
     times the error of that phase sum, which has three parts:
-    - eta_v is summed along the BFS tree path from vertex 0, at most d steps
-      for a tree of depth d.  Each addition rounds by at most u times its
-      partial sum, itself an eta value, so eta_v is off by at most
+    - eta_v is summed along the path from vertex 0 in cover.tree, at most d
+      steps for a tree of depth d.  Each addition rounds by at most u times
+      its partial sum, itself an eta value, so eta_v is off by at most
       u d max|eta|, and the two ends of an edge by eps d max|eta|.
     - The stored half-flux phases close each cycle on a multiple of pi up
       to their own rounding.  An angle difference between lattice
@@ -242,11 +246,7 @@ def gauge_bound(cover: CoverGraph, H, k: int) -> float:
     by at most 2 sqrt(2) u.  This holds on the diagonal too, where B and Hl
     hold H's values.
     """
-    from scipy.sparse.csgraph import shortest_path  # see geometry.link_components
-
-    # a BFS tree is a shortest-path tree: its depth is vertex 0's eccentricity
-    depth = shortest_path(abs(cover.base.adjacency()), indices=0, unweighted=True).max()
-    phase = (depth + 1) * np.abs(cover.eta).max() + 2 * np.pi * (k + 1)
+    phase = (cover.tree.depth + 1) * np.abs(cover.eta).max() + 2 * np.pi * (k + 1)
     return float(np.finfo(float).eps * (phase / cover.base.spacing**2 + 8 * abs(H).max()))
 
 

@@ -1,5 +1,7 @@
-"""Named experiments: flux sweeps, circle checks, slit infima, multiplicity
-and cover equivalence, each emitting CSV rows and pass/fail verdicts.
+"""Named experiments: flux sweeps, circle checks, slit infima, multiplicity,
+cover equivalence and the nodal sets of the half-flux ground states, each
+emitting CSV rows (the nodal run: polylines, an SVG and its slitting
+reports) and pass/fail verdicts.
 
 Every verdict states a checkable mathematical claim about the computed
 spectra and the checks that decide it, each a number next to its bound;
@@ -20,13 +22,13 @@ import signal
 import struct
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from .config import ExperimentConfig, gaussian_bump
+from .config import ExperimentConfig, gaussian_bump, is_half_integer
 from .cover import (
     ConjugationOperator,
     antisymmetric_block,
@@ -43,7 +45,6 @@ from .gauge import aharonov_bohm_potential, zero_field
 from .geometry import DomainSpec, GridDomain, build_grid, lattice_symmetries
 from .nodal import extract_nodal_set, polylines_text, topology_report, values_at_crossings
 from .operators import (
-    EdgeGraph,
     as_edge_graph,
     assemble,
     assemble_circle,
@@ -401,8 +402,7 @@ def run_circle_check(cfg: ExperimentConfig, out_dir=None):
         exact = circle_exact(alpha)
         rel = abs(lam[0] - exact) / max(abs(exact), 1e-6)
         mult = multiplicity_estimate(lam, 1e-6)
-        is_half = abs(alpha - np.floor(alpha) - 0.5) < 1e-12
-        wrong_flags += (mult == 2) != is_half
+        wrong_flags += (mult == 2) != is_half_integer(alpha)
         if rel > worst_rel:
             worst_rel, worst_alpha = rel, alpha
         rows.append((alpha, float(lam[0]), float(lam[1]), float(lam[2]), exact, float(rel), mult))
@@ -555,38 +555,32 @@ def _half_flux_cover(grid):
     return build_cover(as_edge_graph(grid, field))
 
 
-def _reflection(B, lattice: Lattice):
+def _reflection(B, lattice: Lattice, cover):
     """(p, d) for the first lattice involution p that keeps V and lifts to
-    the half-flux block B as the signed permutation S = D P, (S u)_v =
-    d_v u_p(v), with S B S^T = B bit for bit and S^2 = I; None if none does.
+    the half-flux block B of cover as the signed permutation S = D P,
+    (S u)_v = d_v u_p(v), with S B S^T = B bit for bit and S^2 = I; None if
+    none does.
 
     B[p][:, p] has B's entries up to the signs that the cut edges put on
     its hops, and d_v is the parity of those sign flips along the path
-    from 0 to v in a BFS spanning tree of B's pattern: tree_potential sums
-    them as 0/1 phases.  A lift, where one exists, is that d, so the bit
-    for bit check decides.  p is a copy, not a row of the symmetry group.
+    from 0 to v in the cover's spanning tree, whose edges are hops of B:
+    tree_potential sums them as 0/1 phases on the base edges.  A lift,
+    where one exists, is that d, so the bit for bit check decides.  p is a
+    copy, not a row of the symmetry group.
     """
-    from scipy.sparse.csgraph import breadth_first_order  # see geometry.link_components
-
-    n = B.shape[0]
-    ident = np.arange(n)
-    order, parent = breadth_first_order(B, 0, return_predecessors=True)
-    child = order[1:]
-    up = parent[child]
-    # the tree as a phased graph: edge j joins child[j] to its parent
-    tree_edge = np.empty(n, dtype=np.int64)
-    tree_edge[child] = np.arange(n - 1)
-    tree = (order, parent, tree_edge, np.ones(n, dtype=np.int8), None)
-    edges = np.column_stack([up, child])
+    tree = cover.tree
+    ident = np.arange(B.shape[0])
+    child = tree.order[1:]
+    up = tree.parent[child]
     signs = np.signbit(np.asarray(B[up, child]).ravel())
+    flip = np.zeros(cover.base.edges.shape[0])
     for p in _symmetries(lattice):
         if np.array_equal(p, ident) or not np.array_equal(p[p], ident):
             continue
         # in B's index type, so the lookups convert no index copies
         q = p.astype(B.indices.dtype, copy=False)
-        flip = np.signbit(np.asarray(B[q[up], q[child]]).ravel()) != signs
-        parity = tree_potential(EdgeGraph(n, edges, flip.astype(float), lattice.grid.spacing), tree) % 2
-        d = 1.0 - 2.0 * parity
+        flip[tree.parent_edge[child]] = np.signbit(np.asarray(B[q[up], q[child]]).ravel()) != signs
+        d = 1.0 - 2.0 * (tree_potential(replace(cover.base, theta=flip), tree) % 2)
         if np.all(d * d[p] == 1.0) and _keeps_block(B, q, d):
             return p.copy(), d
     return None
@@ -653,7 +647,7 @@ def _half_flux_ground(cfg: ExperimentConfig, lattice: Lattice, cover):
     m = max(s.count, 4, lattice.grid.k + 2)
     B = antisymmetric_block(cover, V=lattice.V).matrix
     bounds = gershgorin_bounds(B)
-    reflection = _reflection(B, lattice)
+    reflection = _reflection(B, lattice, cover)
     bases = [] if reflection is None else _sector_bases(*reflection)
     del reflection
     if not bases or min(Q.shape[1] for Q in bases) <= m:

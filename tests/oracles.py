@@ -3,18 +3,20 @@
 The complex half-flux route (the K-path) finds K-fixed representatives of a
 magnetic eigenspace; their real cover lifts are what the real half-flux
 block must reproduce.  Beside it: the reflection lift of the half-flux
-block read off a two-sheet graph, the mixed cells of marching squares read
-off corner stacks over the whole index window, the zeros of a real
-antisymmetric function on the circle cover, the plaquette sums of a link
-field, the integer flux shift of a link field, the Hermiticity defect of
-an assembled operator, the lattice neighbours of a vertex, the
-boundary components read off the 8-neighbour regions of the excluded
-lattice points, and the radial slit read off a ray walk across the whole
-index window.
+block read off a two-sheet graph and off a BFS tree of the block itself,
+the gauge bound with its tree depth read off shortest paths, the mixed
+cells of marching squares read off corner stacks over the whole index
+window, the zeros of a real antisymmetric function on the circle cover,
+the plaquette sums of a link field, the integer flux shift of a link
+field, the Hermiticity defect of an assembled operator, the lattice
+neighbours of a vertex, the boundary components read off the 8-neighbour
+regions of the excluded lattice points, and the radial slit read off a
+ray walk across the whole index window.
 """
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 import fluxlab as fl
 from fluxlab.errors import BadSlit, FluxlabError, LengthMismatch, NoSignChange
@@ -114,6 +116,41 @@ def two_sheet_lift(B, lattice):
         if np.all(d * d[p] == 1.0) and np.array_equal(d[r] * d[c] * image, coo.data):
             return p, d
     return None
+
+
+def bfs_reflection(B, lattice):
+    """experiments._reflection as read off a BFS spanning tree of B's own
+    pattern, with the parity of the sign flips that p puts on its hops
+    summed vertex by vertex down the tree: (p, d) for the first lattice
+    involution p that keeps V with S B S^T = B bit for bit and S^2 = I;
+    None if none does."""
+    n = B.shape[0]
+    ident = np.arange(n)
+    order, parent = breadth_first_order(B, 0, return_predecessors=True)
+    child = order[1:]
+    up = parent[child]
+    signs = np.signbit(np.asarray(B[up, child]).ravel())
+    coo = B.tocoo()
+    r, c = coo.row, coo.col
+    for p in _symmetries(lattice):
+        if np.array_equal(p, ident) or not np.array_equal(p[p], ident):
+            continue
+        flip = np.signbit(np.asarray(B[p[up], p[child]]).ravel()) != signs
+        odd = np.zeros(n, dtype=bool)
+        for v, f in zip(child, flip):
+            odd[v] = odd[parent[v]] != f
+        d = np.where(odd, -1.0, 1.0)
+        if np.all(d * d[p] == 1.0) and np.array_equal(d[r] * d[c] * np.asarray(B[p[r], p[c]]).ravel(), coo.data):
+            return p, d
+    return None
+
+
+def shortest_path_gauge_bound(cover: fl.CoverGraph, H, k: int) -> float:
+    """cover.gauge_bound with the depth of the BFS tree read as vertex 0's
+    eccentricity, from unweighted shortest paths on the base graph."""
+    depth = shortest_path(abs(cover.base.adjacency()), indices=0, unweighted=True).max()
+    phase = (depth + 1) * np.abs(cover.eta).max() + 2 * np.pi * (k + 1)
+    return float(np.finfo(float).eps * (phase / cover.base.spacing**2 + 8 * abs(H).max()))
 
 
 def whole_window_mixed_cells(u, cover: fl.CoverGraph, grid: fl.GridDomain):

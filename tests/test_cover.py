@@ -17,8 +17,16 @@ from fluxlab.errors import (
     InconsistentHolonomy,
     NonHalfIntegerFlux,
 )
+from fluxlab.experiments import Lattice, _reflection
 
-from oracles import DegenerateProjection, conjugation_operator, real_representative, real_representatives
+from oracles import (
+    DegenerateProjection,
+    bfs_reflection,
+    conjugation_operator,
+    real_representative,
+    real_representatives,
+    shortest_path_gauge_bound,
+)
 from test_geometry import small_domains, two_hole_domains
 
 
@@ -269,15 +277,16 @@ def test_degenerate_projection_error(annulus, annulus_half):
 
 
 def oracle_tree_and_potential(graph):
-    """Reference BFS over sorted Python adjacency lists and the per-vertex potential loop."""
+    """Reference BFS over sorted Python adjacency lists, the start of each
+    BFS level in its order, and the per-vertex potential loop."""
     adj = [[] for _ in range(graph.n)]
     for e, (a, b) in enumerate(graph.edges):
         adj[a].append((int(b), e, 1))
         adj[b].append((int(a), e, -1))
-    parent = np.full(graph.n, -1, dtype=np.int64)
-    parent_edge = np.full(graph.n, -1, dtype=np.int64)
+    parent = np.full(graph.n, -1, dtype=np.int32)
+    parent_edge = np.full(graph.n, -1, dtype=np.int32)
     parent_sign = np.zeros(graph.n, dtype=np.int8)
-    is_tree = np.zeros(graph.edges.shape[0], dtype=bool)
+    hops = np.zeros(graph.n, dtype=np.int64)
     seen = np.zeros(graph.n, dtype=bool)
     seen[0] = True
     order, q = [], deque([0])
@@ -288,12 +297,14 @@ def oracle_tree_and_potential(graph):
             if not seen[w]:
                 seen[w] = True
                 parent[w], parent_edge[w], parent_sign[w] = v, e, sign
-                is_tree[e] = True
+                hops[w] = hops[v] + 1
                 q.append(w)
     eta = np.zeros(graph.n)
     for v in order[1:]:
         eta[v] = eta[parent[v]] + parent_sign[v] * graph.theta[parent_edge[v]]
-    return (np.array(order), parent, parent_edge, parent_sign, is_tree), eta
+    # where each level of hops from vertex 0 starts in the order, then n
+    levels = np.array([i for i in range(graph.n) if i == 0 or hops[order[i]] != hops[order[i - 1]]] + [graph.n])
+    return (np.array(order, dtype=np.int32), parent, parent_edge, parent_sign, levels), eta
 
 
 def test_spanning_tree_and_potential_match_oracle(annulus, annulus_cover):
@@ -302,6 +313,7 @@ def test_spanning_tree_and_potential_match_oracle(annulus, annulus_cover):
     for graph in (generic, cov.as_edge_graph()):
         tree = spanning_tree(graph)
         want_tree, want_eta = oracle_tree_and_potential(graph)
+        assert len(tree) == len(want_tree) and tree.depth == want_tree[4].size - 2
         for got, want in zip(tree, want_tree):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(tree_potential(graph, tree), want_eta)
@@ -394,8 +406,10 @@ def test_cover_phase_is_the_base_gauge_on_random_domains(grid):
 
 
 def gauge_defects(grid, V=None):
-    """Hl, B, max |conj(D) H D - B| and max |Hl L - L H| for the half-flux
-    operator H, the last two entry by entry off the CSR arrays, and their bound."""
+    """The half-flux cover, Hl, B, max |conj(D) H D - B| and max |Hl L - L H|
+    for the half-flux operator H, the last two entry by entry off the CSR
+    arrays, and their bound, which must be the shortest-path oracle's bit
+    for bit."""
     field = fl.aharonov_bohm_potential(grid, [0.5] * grid.k)
     cov = fl.build_cover(fl.as_edge_graph(grid, field))
     H = fl.assemble_magnetic(grid, field, V=V).matrix
@@ -413,7 +427,9 @@ def gauge_defects(grid, V=None):
     x = np.repeat(np.arange(2 * n), np.diff(Hl.indptr))
     y = Hl.indices
     lift = np.abs(Hl.data * w[y] - w[x] * np.asarray(H[x % n, y % n]).ravel()).max()
-    return Hl, B, gauge, lift, gauge_bound(cov, H, grid.k)
+    bound = gauge_bound(cov, H, grid.k)
+    assert bound == shortest_path_gauge_bound(cov, H, grid.k)
+    return cov, Hl, B, gauge, lift, bound
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -421,14 +437,18 @@ def gauge_defects(grid, V=None):
 def test_gauge_identities_on_random_domains(grid, with_V):
     # the real block and the complex operator agree with no solve: D maps H
     # onto B and L intertwines H with Hl within gauge_bound, and B is the
-    # antisymmetric sector of Hl exactly, with and without a potential
+    # antisymmetric sector of Hl exactly, with and without a potential; the
+    # reflection lift read off the cover's tree is the one read off B's own
     assume(grid.k >= 1)
     n = grid.n_vertices
     V = np.random.default_rng(n).uniform(0.0, 50.0, n) if with_V else None
-    Hl, B, gauge, lift, bound = gauge_defects(grid, V)
+    cov, Hl, B, gauge, lift, bound = gauge_defects(grid, V)
     assert gauge <= bound and lift <= bound, (gauge, lift, bound)
     sector = Hl[:n, :n] - Hl[:n, n:] - Hl[n:, :n] + Hl[n:, n:]
     assert abs(0.5 * sector - B).max() == 0.0
+    got, want = _reflection(B, Lattice(grid, V), cov), bfs_reflection(B, Lattice(grid, V))
+    assert (got is None) == (want is None)
+    assert got is None or all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("config", ["annulus", "annulus_offset", "two_holes"])

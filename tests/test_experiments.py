@@ -48,7 +48,7 @@ from fluxlab.experiments import (
     run_nodal,
     run_slit_infimum,
 )
-from oracles import conjugation_operator, real_representatives, two_sheet_lift
+from oracles import bfs_reflection, conjugation_operator, real_representatives, two_sheet_lift
 from test_geometry import small_domains
 
 COARSE = """
@@ -77,9 +77,6 @@ epsilon = {epsilon}
 count = 8
 hole = 1
 mode = {slit_mode}
-
-[experiment]
-name = coarse
 """
 
 BASE_DOMAIN = COARSE.split("[sweep]")[0]
@@ -156,23 +153,26 @@ def test_domain_file_reference_alone(tmp_path):
         # settings next to a file reference used to be dropped silently
         "[domain]\nfile = base.cfg\n\n[solver]\ncount = 5\nseed = 7\n",
         "[domain]\nfile = base.cfg\nspacing = 0.1\n",
-        "[domain]\nfile = base.cfg\n\n[experiment]\nname = other\n",
+        "[domain]\nfile = base.cfg\n\n[circle]\npoints = 128\n",
         # a reference that refers on, here back to itself, used to recurse
         # until RecursionError
         "[domain]\nfile = c.cfg\n",
         # unknown keys and sections used to be ignored
         BASE_DOMAIN + "[sweep]\nstpo = 0.5\n",
         BASE_DOMAIN + "[slitt]\ncount = 8\n",
+        # the [experiment] name that nothing read is gone with its section
+        BASE_DOMAIN + "[experiment]\nname = annulus\n",
         BASE_DOMAIN + "[solver]\nseeds = 7\n",
         BASE_DOMAIN.replace("spacing", "spaceing"),
     ],
     ids=[
         "file-beside-solver",
         "file-beside-domain-key",
-        "file-beside-experiment",
+        "file-beside-circle",
         "file-refers-to-itself",
         "sweep-key-typo",
         "section-typo",
+        "experiment-section",
         "solver-key-typo",
         "domain-key-typo",
     ],
@@ -795,6 +795,10 @@ def test_cli_missing_config(tmp_path):
         ("slit", "hole = 2"),
         ("slit", "hole = 0"),
         ("circle", "points = 32"),
+        # alphas that cannot decide circle-degeneracy-at-half-flux, which
+        # used to pass with 0 alphas flagged wrongly
+        ("circle", "alphas ="),
+        ("circle", "alphas = 0 0.25"),
         # non-finite floats: a traceback, or (tol) every residual check passing
         ("sweep", "step = inf"),
         ("sweep", "start = nan"),
@@ -1109,7 +1113,7 @@ def check_half_flux_split(grid, V=None):
     cov = _half_flux_cover(grid)
     B = fl.antisymmetric_block(cov, V=V).matrix
     n = B.shape[0]
-    reflection = _reflection(B, lattice)
+    reflection = _reflection(B, lattice, cov)
     if reflection is not None:
         p, d = reflection
         S = sparse.csr_matrix((d, (np.arange(n), p)), shape=(n, n))  # (S u)_v = d_v u_p(v)
@@ -1158,16 +1162,19 @@ def test_half_flux_sectors_match_one_block(request, fixture, sectors):
 
 
 def check_first_lift(grid, V=None):
-    """_reflection returns the two-sheet oracle's first lift, with d_0 = +1;
-    returns whether there is one."""
+    """_reflection returns the first lift of the two-sheet oracle and of the
+    oracle that reads it off a BFS tree of B, with d_0 = +1; returns whether
+    there is one."""
     lattice = Lattice(grid, V)
-    B = fl.antisymmetric_block(_half_flux_cover(grid), V=V).matrix
-    got, want = _reflection(B, lattice), two_sheet_lift(B, lattice)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert np.array_equal(got[0], want[0])
-        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
-        assert got[1][0] == 1.0
+    cov = _half_flux_cover(grid)
+    B = fl.antisymmetric_block(cov, V=V).matrix
+    got = _reflection(B, lattice, cov)
+    for want in (two_sheet_lift(B, lattice), bfs_reflection(B, lattice)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got[0], want[0])
+            assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    assert got is None or got[1][0] == 1.0
     return got is not None
 
 
@@ -1188,7 +1195,8 @@ def test_reflection_is_the_two_sheet_oracles_first_lift(annulus, offset_annulus,
 def test_reflection_returns_a_permutation_of_its_own(annulus):
     # a row of the symmetry group would keep the whole (8, n) group alive
     # through the sector solves
-    p, _ = _reflection(fl.antisymmetric_block(_half_flux_cover(annulus)).matrix, Lattice(annulus, None))
+    cov = _half_flux_cover(annulus)
+    p, _ = _reflection(fl.antisymmetric_block(cov).matrix, Lattice(annulus, None), cov)
     assert p.base is None and p.flags.owndata
 
 

@@ -143,7 +143,9 @@ def test_spectrum_unchanged_by_gauge_and_integer_flux_shift(grid, flux, seed):
     lam = fl.lowest_eigenpairs(H, 3, tol=tol).eigenvalues
     norm = max(map(abs, gershgorin_bounds(H.matrix)))
     chi = np.random.default_rng(seed).uniform(-10, 10, grid.n_vertices)
-    for same in (fl.gauge_transform(field, chi), integer_flux_shift(grid, field, [1]), integer_flux_shift(grid, field, [-1])):
+    # conjugation maps flux t to -t, and with an integer shift to 1 - t
+    flipped = (fl.aharonov_bohm_potential(grid, [-flux]), fl.aharonov_bohm_potential(grid, [1 - flux]))
+    for same in (fl.gauge_transform(field, chi), integer_flux_shift(grid, field, [1]), integer_flux_shift(grid, field, [-1]), *flipped):
         other = fl.lowest_eigenpairs(fl.assemble_magnetic(grid, same), 3, tol=tol).eigenvalues
         assert np.max(np.abs(other - lam)) <= tol * norm
 
