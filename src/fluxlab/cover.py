@@ -32,12 +32,11 @@ _PHASE_TOL = 1e-10  # radians, for the cover phase's closure and sign flip
 
 class SpanningTree(NamedTuple):
     """A BFS spanning tree from vertex 0, in csgraph's int32 indices;
-    order[levels[i]:levels[i + 1]] are the vertices i hops from vertex 0."""
+    order[levels[i]:levels[i + 1]] are the vertices i hops from vertex 0.
+    A vertex's parent is the other end of its parent edge."""
 
     order: np.ndarray        # (n,) vertices in BFS order
-    parent: np.ndarray       # (n,) parent vertex, -1 at the root
     parent_edge: np.ndarray  # (n,) edge id to the parent, -1 at the root
-    parent_sign: np.ndarray  # (n,) int8, +1 if that edge runs parent -> child, -1 if child -> parent
     levels: np.ndarray       # (depth + 2,) start of each level in order, then n
 
     @property
@@ -57,15 +56,12 @@ def spanning_tree(graph: EdgeGraph) -> SpanningTree:
     order, parent = breadth_first_order(adj, 0, directed=True, return_predecessors=True)
     if order.size != graph.n:
         raise DisconnectedDomain("graph is not connected")
-    parent[0] = -1
     parent_edge = np.full(graph.n, -1, dtype=np.int32)
-    parent_sign = np.zeros(graph.n, dtype=np.int8)
     child = order[1:]
-    # the signed id of each tree edge, looked up in place in the CSR rows
-    signed = np.asarray(adj[parent[child], child]).ravel()
-    parent_edge[child] = np.abs(signed) - 1
-    parent_sign[child] = np.sign(signed)
-    position = np.empty(graph.n, dtype=np.int32)
+    # the id of each tree edge, looked up in place in the CSR rows
+    parent_edge[child] = np.abs(np.asarray(adj[parent[child], child]).ravel()) - 1
+    # intp, so that searchsorted casts no copy of parent_position per level
+    position = np.empty(graph.n, dtype=np.intp)
     position[order] = np.arange(graph.n)
     # parents' BFS positions are nondecreasing along the order, so the
     # children of the level order[lo:hi] are the next contiguous slice
@@ -73,17 +69,22 @@ def spanning_tree(graph: EdgeGraph) -> SpanningTree:
     levels = [0, 1]
     while levels[-1] < graph.n:
         levels.append(1 + int(np.searchsorted(parent_position, levels[-1])))
-    return SpanningTree(order, parent, parent_edge, parent_sign, np.array(levels))
+    return SpanningTree(order, parent_edge, np.array(levels))
 
 
-def tree_potential(graph: EdgeGraph, tree: SpanningTree) -> np.ndarray:
-    """Integral of the link phases along the spanning tree, rooted at 0,
-    one BFS level at a time."""
-    order, parent, parent_edge, parent_sign, levels = tree
-    eta = np.zeros(graph.n)
+def tree_potential(edges, theta, tree: SpanningTree) -> np.ndarray:
+    """Integral of the phases theta on the canonical edges along the
+    spanning tree, rooted at 0, one BFS level at a time."""
+    order, parent_edge, levels = tree
+    eta = np.zeros(order.size)
     for lo, hi in zip(levels[1:-1], levels[2:]):
-        v = order[lo:hi]
-        eta[v] = eta[parent[v]] + parent_sign[v] * graph.theta[parent_edge[v]]
+        # intp, so that the lookups below cast no index copies
+        v = order[lo:hi].astype(np.intp)
+        e = parent_edge[v].astype(np.intp)
+        tail, head = edges[e, 0], edges[e, 1]
+        # an edge into v runs parent -> child, one out of v the other way
+        down = head == v
+        eta[v] = eta[np.where(down, tail, head)] + np.where(down, theta[e], -theta[e])
     return eta
 
 
@@ -145,7 +146,7 @@ def build_cover(base: EdgeGraph) -> CoverGraph:
     trivial two-copy cover.
     """
     tree = spanning_tree(base)
-    eta = tree_potential(base, tree)
+    eta = tree_potential(base.edges, base.theta, tree)
     a, b = base.edges[:, 0], base.edges[:, 1]
     circ = (eta[a] + base.theta - eta[b]) / TWO_PI
     circ[tree.parent_edge[tree.order[1:]]] = 0.0

@@ -22,7 +22,7 @@ import signal
 import struct
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -568,19 +568,20 @@ def _reflection(B, lattice: Lattice, cover):
     where one exists, is that d, so the bit for bit check decides.  p is a
     copy, not a row of the symmetry group.
     """
-    tree = cover.tree
+    edges, tree = cover.base.edges, cover.tree
     ident = np.arange(B.shape[0])
-    child = tree.order[1:]
-    up = tree.parent[child]
-    signs = np.signbit(np.asarray(B[up, child]).ravel())
-    flip = np.zeros(cover.base.edges.shape[0])
+    tree_edges = tree.parent_edge[tree.order[1:]]
+    # the ends of the tree edges and the involutions in B's index type, so
+    # the lookups convert no index copies
+    a, b = edges[tree_edges].T.astype(B.indices.dtype)
+    signs = np.signbit(np.asarray(B[a, b]).ravel())
+    flip = np.zeros(edges.shape[0])
     for p in _symmetries(lattice):
         if np.array_equal(p, ident) or not np.array_equal(p[p], ident):
             continue
-        # in B's index type, so the lookups convert no index copies
         q = p.astype(B.indices.dtype, copy=False)
-        flip[tree.parent_edge[child]] = np.signbit(np.asarray(B[q[up], q[child]]).ravel()) != signs
-        d = 1.0 - 2.0 * (tree_potential(replace(cover.base, theta=flip), tree) % 2)
+        flip[tree_edges] = np.signbit(np.asarray(B[q[a], q[b]]).ravel()) != signs
+        d = 1.0 - 2.0 * (tree_potential(edges, flip, tree) % 2)
         if np.all(d * d[p] == 1.0) and _keeps_block(B, q, d):
             return p.copy(), d
     return None

@@ -127,17 +127,21 @@ def assemble(graph: EdgeGraph, V=None, keep=None) -> HamiltonianMatrix:
         a, b, theta = a[both], b[both], theta[both]
     hop = -(np.cos(theta) if real else np.exp(-1j * theta)) * inv_h2
 
-    # the COO triplets written in place: hops both ways, then the diagonal
+    # the COO triplets written in place: hops both ways, then the diagonal.
+    # Each temporary goes once it is copied in, so that the CSR conversion,
+    # an assembly's memory peak, holds no other array of this function
     m, nnz = a.size, 2 * a.size + vtx.size
     rows, cols = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32)
     vals = np.empty(nnz, dtype=dtype)
     rows[:m], rows[m : 2 * m], cols[:m], cols[m : 2 * m] = a, b, b, a
-    rows[2 * m :] = cols[2 * m :] = unk[vtx]
     vals[:m] = hop
     np.conj(hop, out=vals[m : 2 * m])
+    del a, b, theta, both, hop
+    rows[2 * m :] = cols[2 * m :] = unk[vtx]
     vals[2 * m :] = deg[vtx] * inv_h2 + V[vtx]
-    del a, b, theta, hop, deg, unk
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(vtx.size, vtx.size))
+    size = vtx.size
+    del deg, unk, vtx
+    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
     return HamiltonianMatrix(matrix=mat)
 
 

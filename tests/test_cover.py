@@ -304,7 +304,7 @@ def oracle_tree_and_potential(graph):
         eta[v] = eta[parent[v]] + parent_sign[v] * graph.theta[parent_edge[v]]
     # where each level of hops from vertex 0 starts in the order, then n
     levels = np.array([i for i in range(graph.n) if i == 0 or hops[order[i]] != hops[order[i - 1]]] + [graph.n])
-    return (np.array(order, dtype=np.int32), parent, parent_edge, parent_sign, levels), eta
+    return (np.array(order, dtype=np.int32), parent_edge, levels), eta
 
 
 def test_spanning_tree_and_potential_match_oracle(annulus, annulus_cover):
@@ -313,10 +313,10 @@ def test_spanning_tree_and_potential_match_oracle(annulus, annulus_cover):
     for graph in (generic, cov.as_edge_graph()):
         tree = spanning_tree(graph)
         want_tree, want_eta = oracle_tree_and_potential(graph)
-        assert len(tree) == len(want_tree) and tree.depth == want_tree[4].size - 2
+        assert len(tree) == len(want_tree) and tree.depth == want_tree[2].size - 2
         for got, want in zip(tree, want_tree):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.array_equal(tree_potential(graph, tree), want_eta)
+        assert np.array_equal(tree_potential(graph.edges, graph.theta, tree), want_eta)
 
 
 def test_adjacency_rejects_repeated_edge():
@@ -373,7 +373,7 @@ def test_conjugation_reads_the_cover_potential(request, case, monkeypatch):
         graph = fl.as_edge_graph(grid, fl.aharonov_bohm_potential(grid, [0.5] * grid.k))
     cov = fl.build_cover(graph)
     # psi as integrated along a tree of the base graph of its own
-    want = -2.0 * tree_potential(graph, spanning_tree(graph))
+    want = -2.0 * tree_potential(graph.edges, graph.theta, spanning_tree(graph))
 
     def no_tree(graph, *tree):
         raise AssertionError(f"tree built on {graph.n} vertices")
@@ -392,7 +392,7 @@ def test_cover_phase_is_the_base_gauge_on_random_domains(grid):
     th = fl.build_theta(cov)
     # oracle: the lifted link phases integrated along a tree of the cover
     cg = cov.as_edge_graph()
-    want = tree_potential(cg, spanning_tree(cg))
+    want = tree_potential(cg.edges, cg.theta, spanning_tree(cg))
     assert np.max(np.abs(np.exp(1j * th) - np.exp(1j * want))) <= 1e-10
     # the lift carries magnetic eigenpairs to lifted ones within ten times
     # the solver's residual budget, as Hl L = L H makes it
